@@ -131,7 +131,8 @@ obs-smoke:
 # profiling-as-a-service end to end: start the daemon, submit the same
 # job twice, assert the second submission was served from the cache
 # (exactly one execution according to the live /metrics counter) with a
-# byte-identical report, check crash isolation, fetch the first job's
+# byte-identical report, check crash isolation, check that a parcheck
+# job returns the `polyprof parcheck --json` object, fetch the first job's
 # trace by its id and check the span tree plus the JSON log, shut down
 # gracefully.  The built binary is invoked directly so the daemon pid
 # is killable.
@@ -160,6 +161,11 @@ serve-smoke: all
 	echo "executions_total = $$execs (expect 3: gemm cold, crash, atax)"; \
 	test "$$execs" = 3 \
 	  || { echo "FAIL: cache hit re-executed the job"; exit 1; }; \
+	$$cli submit parcheck par_racy --socket $$sock --wait > $$dir/pc.json; \
+	grep -q '"loc":"par-racy.c:5"' $$dir/pc.json \
+	  || { echo "FAIL: serve parcheck report lacks the race's loc"; exit 1; }; \
+	grep -q '"crosscheck_ok":true' $$dir/pc.json \
+	  || { echo "FAIL: serve parcheck report not cross-checked"; exit 1; }; \
 	tid=$$(curl -s --unix-socket $$sock http://localhost/jobs/1 \
 	  | sed -n 's/.*"trace_id":"\([0-9a-f]\{16\}\)".*/\1/p'); \
 	test -n "$$tid" || { echo "FAIL: job status has no trace id"; exit 1; }; \
@@ -173,7 +179,7 @@ serve-smoke: all
 	grep -q '"serve.job.done"' $$dir/serve.log.jsonl \
 	  || { echo "FAIL: JSON log sink missed the job lifecycle"; exit 1; }; \
 	test ! -e $$sock || { echo "FAIL: socket not unlinked"; exit 1; }; \
-	echo "serve-smoke OK: 1 execution for 2 submissions, bit-identical reports, crash isolated, trace resolvable, graceful shutdown"
+	echo "serve-smoke OK: 1 execution for 2 submissions, bit-identical reports, crash isolated, parcheck report shared with the CLI, trace resolvable, graceful shutdown"
 
 # perf-regression sentinel end to end against checked-in fixtures: a
 # seeded +30% wall-clock regression (25% band) must exit nonzero, an

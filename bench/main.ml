@@ -548,11 +548,6 @@ let stream_bench () =
     (Printf.sprintf
        "lib/stream: binary trace codec + %d-domain sharded profiling" domains);
   let now = Obs.Clock.monotonic in
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all
-  in
   let rows =
     List.map
       (fun (w : Workloads.Workload.t) ->
@@ -570,10 +565,7 @@ let stream_bench () =
         Stream.Source.with_file path (fun src ->
             Stream.Source.iter src ignore);
         let t_dec = now () -. t0 in
-        let builder = Cfg.Cfg_builder.create prog in
-        Stream.Source.with_file path (fun src ->
-            Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
-        let structure = Cfg.Cfg_builder.finalize builder in
+        let structure = Stream.Trace_file.structure prog path in
         let t0 = now () in
         let seq =
           Ddg.Depprof.profile_replay
@@ -608,7 +600,7 @@ let stream_bench () =
           sr_peak_shadow = par.par_stats.Stream.Par_profile.per_domain_peak_shadow;
           sr_domain_events = par.par_stats.Stream.Par_profile.per_domain_events;
           sr_identical = identical })
-      ws
+      Workloads.Registry.suite
   in
   let mbs bytes s = float_of_int bytes /. (s +. 1e-9) /. (1024. *. 1024.) in
   let header =
@@ -694,146 +686,74 @@ let stream_bench () =
 (* lib/analysis: static dependence engine + instrumentation pruning     *)
 (* ------------------------------------------------------------------ *)
 
-type staticdep_row = {
-  dr_name : string;
-  dr_acc_static : int;  (* live reachable static accesses *)
-  dr_acc_resolved : int;
-  dr_dyn_mem : int;  (* dynamic memory operations *)
-  dr_dyn_pruned : int;  (* of which skipped shadow tracking *)
-  dr_pairs : int;  (* static pair summaries *)
-  dr_full_s : float;  (* unpruned in-process profile *)
-  dr_pruned_s : float;  (* pruned in-process profile *)
-  dr_trace_full : int;  (* trace bytes, full addresses *)
-  dr_trace_elided : int;  (* trace bytes, resolved addresses elided *)
-  dr_witnesses : int;  (* witness probes in the final speculative plan *)
-  dr_reruns : int;  (* witness-failure reruns of the hybrid driver *)
-  dr_equal : bool;  (* pruned+injected result == unpruned *)
-}
-
 let staticdep_bench () =
   section
     "lib/analysis: static polyhedral dependences + instrumentation pruning";
-  let now = Obs.Clock.monotonic in
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all
-  in
+  let module D = Workloads.Staticdep_driver in
+  (* the driver's record plus the trace bytes with and without the
+     pruned accesses' addresses: the codec cost of the plan *)
   let rows =
     List.map
-      (fun (w : Workloads.Workload.t) ->
-        let prog = Vm.Hir.lower w.hir in
-        let sd = Analysis.Statdep.analyse prog in
-        let structure = Cfg.Cfg_builder.run prog in
-        let t0 = now () in
-        let full = Ddg.Depprof.profile prog ~structure in
-        let t_full = now () -. t0 in
-        let t0 = now () in
-        (* speculative plan, witness-failure reruns handled by the
-           hybrid driver (timed together: that is the user-visible cost) *)
-        let _sd_spec, pruned, reruns =
-          Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
-              Ddg.Depprof.profile ~static_prune:plan prog ~structure)
-        in
-        let t_pruned = now () -. t0 in
+      (fun w ->
+        let r = D.run ~prune:true w in
+        let sd = r.D.sd in
+        let prog = sd.Analysis.Statdep.prog in
         let path = Filename.temp_file "polyprof" ".trace" in
         Fun.protect
           ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
         @@ fun () ->
-        let wi_full = Stream.Trace_file.record_to_file prog path in
-        let wi_elided =
-          Stream.Trace_file.record_to_file
-            ~elide:(Hashtbl.mem sd.Analysis.Statdep.pruned)
-            prog path
+        let bytes ?elide () =
+          (Stream.Trace_file.record_to_file ?elide prog path)
+            .Stream.Trace_file.wi_bytes
         in
-        { dr_name = w.w_name;
-          dr_acc_static = sd.Analysis.Statdep.n_accesses;
-          dr_acc_resolved = Analysis.Statdep.n_resolved sd;
-          dr_dyn_mem = full.Ddg.Depprof.run_stats.Vm.Interp.dyn_mem_ops;
-          dr_dyn_pruned = pruned.Ddg.Depprof.statically_pruned;
-          dr_pairs = List.length sd.Analysis.Statdep.pairs;
-          dr_full_s = t_full;
-          dr_pruned_s = t_pruned;
-          dr_trace_full = wi_full.Stream.Trace_file.wi_bytes;
-          dr_trace_elided = wi_elided.Stream.Trace_file.wi_bytes;
-          dr_witnesses = List.length pruned.Ddg.Depprof.witnesses;
-          dr_reruns = reruns;
-          dr_equal = Ddg.Depprof.equal_result full pruned })
-      ws
+        let full = bytes () in
+        let elided = bytes ~elide:(Hashtbl.mem sd.Analysis.Statdep.pruned) () in
+        (r, Option.get r.D.prune, full, elided))
+      Workloads.Registry.suite
   in
-  let pct p t = 100. *. float_of_int p /. float_of_int (max 1 t) in
-  let header =
-    [ "benchmark"; "static"; "resolved"; "dyn mem"; "pruned"; "pruned %";
-      "pairs"; "full s"; "pruned s"; "trace KB"; "elided KB"; "wit"; "rerun";
-      "same" ]
+  print_string (D.table (List.map (fun (r, _, _, _) -> r) rows));
+  let tot f = List.fold_left (fun a (_, p, _, _) -> a + f p) 0 rows in
+  let dyn_pruned = tot (fun p -> p.D.pruned_dyn) in
+  let dyn_mem = tot (fun p -> p.D.dyn_mem_ops) in
+  let suite_pct =
+    100. *. float_of_int dyn_pruned /. float_of_int (max 1 dyn_mem)
   in
-  let table =
-    List.map
-      (fun r ->
-        [ r.dr_name;
-          string_of_int r.dr_acc_static;
-          string_of_int r.dr_acc_resolved;
-          string_of_int r.dr_dyn_mem;
-          string_of_int r.dr_dyn_pruned;
-          Printf.sprintf "%.0f%%" (pct r.dr_dyn_pruned r.dr_dyn_mem);
-          string_of_int r.dr_pairs;
-          Printf.sprintf "%.4f" r.dr_full_s;
-          Printf.sprintf "%.4f" r.dr_pruned_s;
-          string_of_int (r.dr_trace_full / 1024);
-          string_of_int (r.dr_trace_elided / 1024);
-          string_of_int r.dr_witnesses;
-          string_of_int r.dr_reruns;
-          (if r.dr_equal then "Y" else "N!") ])
-      rows
-  in
-  print_string (Report.Texttable.render ~header table);
-  let all_equal = List.for_all (fun r -> r.dr_equal) rows in
+  let all_equal = List.for_all (fun (r, _, _, _) -> D.sound r) rows in
   let majority =
-    List.length (List.filter (fun r -> pct r.dr_dyn_pruned r.dr_dyn_mem > 50.) rows)
+    List.length (List.filter (fun (_, p, _, _) -> D.pruned_pct p > 50.) rows)
   in
-  let tot f = List.fold_left (fun a r -> a + f r) 0 rows in
   Format.printf
     "@.suite: %d/%d dynamic accesses pruned (%.0f%%), %d workloads above \
      50%%, all pruned profiles identical to unpruned: %b@."
-    (tot (fun r -> r.dr_dyn_pruned))
-    (tot (fun r -> r.dr_dyn_mem))
-    (pct (tot (fun r -> r.dr_dyn_pruned)) (tot (fun r -> r.dr_dyn_mem)))
-    majority all_equal;
+    dyn_pruned dyn_mem suite_pct majority all_equal;
   if not all_equal then failwith "staticdep: pruned profile diverged";
   if !json_out then begin
     let open Obs.Json_emit in
-    let doc =
+    let row ((r : D.t), (p : D.prune), trace_full, trace_elided) =
+      let sd = r.D.sd in
       Obj
-        (schema_header ~schema_version:Obs.Schemas.staticdep
-        @ [ ( "suite_pruned_pct",
-              Float
-                (pct
-                   (tot (fun r -> r.dr_dyn_pruned))
-                   (tot (fun r -> r.dr_dyn_mem))) );
-            ("workloads_above_50pct", Int majority);
-            ("all_identical", Bool all_equal);
-            ( "workloads",
-              List
-                (List.map
-                   (fun r ->
-                     Obj
-                       [ ("name", Str r.dr_name);
-                         ("static_accesses", Int r.dr_acc_static);
-                         ("resolved", Int r.dr_acc_resolved);
-                         ("dyn_mem_ops", Int r.dr_dyn_mem);
-                         ("dyn_pruned", Int r.dr_dyn_pruned);
-                         ("pruned_pct", Float (pct r.dr_dyn_pruned r.dr_dyn_mem));
-                         ("pair_summaries", Int r.dr_pairs);
-                         ("full_seconds", Float r.dr_full_s);
-                         ("pruned_seconds", Float r.dr_pruned_s);
-                         ("trace_bytes", Int r.dr_trace_full);
-                         ("elided_trace_bytes", Int r.dr_trace_elided);
-                         ("speculative_witnesses", Int r.dr_witnesses);
-                         ("witness_reruns", Int r.dr_reruns);
-                         ("identical", Bool r.dr_equal) ])
-                   rows) ) ])
+        [ ("name", Str r.D.name);
+          ("static_accesses", Int sd.Analysis.Statdep.n_accesses);
+          ("resolved", Int (Analysis.Statdep.n_resolved sd));
+          ("dyn_mem_ops", Int p.D.dyn_mem_ops);
+          ("dyn_pruned", Int p.D.pruned_dyn);
+          ("pruned_pct", Float (D.pruned_pct p));
+          ("pair_summaries", Int (List.length sd.Analysis.Statdep.pairs));
+          ("full_seconds", Float p.D.full_s);
+          ("pruned_seconds", Float p.D.pruned_s);
+          ("trace_bytes", Int trace_full);
+          ("elided_trace_bytes", Int trace_elided);
+          ("speculative_witnesses", Int p.D.witnesses);
+          ("witness_reruns", Int p.D.reruns);
+          ("identical", Bool p.D.equal) ]
     in
-    emit_bench "staticdep" doc
+    emit_bench "staticdep"
+      (Obj
+         (schema_header ~schema_version:Obs.Schemas.staticdep
+         @ [ ("suite_pruned_pct", Float suite_pct);
+             ("workloads_above_50pct", Int majority);
+             ("all_identical", Bool all_equal);
+             ("workloads", List (List.map row rows)) ]))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1037,121 +957,50 @@ let serve_bench () =
 (* lib/analysis: parallelism certifier + dynamic race sanitizer         *)
 (* ------------------------------------------------------------------ *)
 
-type pc_row = {
-  pr_name : string;
-  pr_dims : int;
-  pr_cert : int;
-  pr_race : int;
-  pr_unknown : int;
-  pr_san_accesses : int;
-  pr_san_races : int;  (** dynamic races on certified dims (must be 0) *)
-  pr_xcheck_ok : bool;
-  pr_static_s : float;
-  pr_san_s : float;
-}
-
 let parcheck_bench () =
   section "lib/analysis: parallelism certifier + dynamic race sanitizer";
-  let now = Obs.Clock.monotonic in
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all @ Workloads.Polybench.seeded
-  in
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        let prog = Vm.Hir.lower w.hir in
-        let t0 = now () in
-        let pc = Analysis.Parcheck.analyse prog in
-        let t_static = now () -. t0 in
-        let t0 = now () in
-        let san = Analysis.Parcheck.sanitize pc in
-        let t_san = now () -. t0 in
-        let diags = Analysis.Parcheck.crosscheck pc san in
-        let count v =
-          List.length
-            (List.filter
-               (fun (d : Analysis.Parcheck.dim_report) ->
-                 Analysis.Parcheck.verdict_code d.Analysis.Parcheck.dr_verdict
-                 = v)
-               pc.Analysis.Parcheck.pc_dims)
-        in
-        { pr_name = w.w_name;
-          pr_dims = List.length pc.Analysis.Parcheck.pc_dims;
-          pr_cert = Analysis.Parcheck.n_certified pc;
-          pr_race = Analysis.Parcheck.n_races pc;
-          pr_unknown = count "unknown";
-          pr_san_accesses = san.Ddg.Race_san.sr_accesses;
-          pr_san_races = Ddg.Race_san.races_on_certified san;
-          pr_xcheck_ok = Analysis.Parcheck.crosscheck_ok diags;
-          pr_static_s = t_static;
-          pr_san_s = t_san })
-      ws
-  in
-  let header =
-    [ "benchmark"; "dims"; "certified"; "race"; "unknown"; "san acc";
-      "san races"; "xcheck"; "static s"; "san s" ]
-  in
-  let table =
-    List.map
-      (fun r ->
-        [ r.pr_name;
-          string_of_int r.pr_dims;
-          string_of_int r.pr_cert;
-          string_of_int r.pr_race;
-          string_of_int r.pr_unknown;
-          string_of_int r.pr_san_accesses;
-          string_of_int r.pr_san_races;
-          (if r.pr_xcheck_ok then "ok" else "FAIL");
-          Printf.sprintf "%.4f" r.pr_static_s;
-          Printf.sprintf "%.4f" r.pr_san_s ])
-      rows
-  in
-  print_string (Report.Texttable.render ~header table);
+  let module D = Workloads.Parcheck_driver in
+  let rows = List.map (fun w -> D.run w) Workloads.Registry.all in
+  print_string (D.table rows);
+  let san (r : D.t) = Option.get r.D.san in
+  let dims (r : D.t) = List.length r.D.pc.Analysis.Parcheck.pc_dims in
+  let cert (r : D.t) = Analysis.Parcheck.n_certified r.D.pc in
+  let race (r : D.t) = Analysis.Parcheck.n_races r.D.pc in
+  let unknown r = dims r - cert r - race r in
+  let san_races r = Ddg.Race_san.races_on_certified (san r) in
   let tot f = List.fold_left (fun a r -> a + f r) 0 rows in
-  let all_sound =
-    List.for_all (fun r -> r.pr_san_races = 0 && r.pr_xcheck_ok) rows
-  in
+  let all_sound = List.for_all (fun r -> san_races r = 0 && D.sound r) rows in
   Format.printf
     "@.suite: %d claimed dims, %d certified, %d racy, %d unknown; sanitizer \
      races on certified dims: %d (soundness requires 0)@."
-    (tot (fun r -> r.pr_dims))
-    (tot (fun r -> r.pr_cert))
-    (tot (fun r -> r.pr_race))
-    (tot (fun r -> r.pr_unknown))
-    (tot (fun r -> r.pr_san_races));
+    (tot dims) (tot cert) (tot race) (tot unknown) (tot san_races);
   if not all_sound then
     failwith "parcheck: sanitizer observed a race on a certified dimension";
   if !json_out then begin
     let open Obs.Json_emit in
-    let doc =
+    let row (r : D.t) =
       Obj
-        (schema_header ~schema_version:Obs.Schemas.parcheck
-        @ [ ("dims", Int (tot (fun r -> r.pr_dims)));
-            ("certified", Int (tot (fun r -> r.pr_cert)));
-            ("racy", Int (tot (fun r -> r.pr_race)));
-            ("unknown", Int (tot (fun r -> r.pr_unknown)));
-            ("sanitizer_races_on_certified", Int (tot (fun r -> r.pr_san_races)));
-            ("all_sound", Bool all_sound);
-            ( "workloads",
-              List
-                (List.map
-                   (fun r ->
-                     Obj
-                       [ ("name", Str r.pr_name);
-                         ("dims", Int r.pr_dims);
-                         ("certified", Int r.pr_cert);
-                         ("racy", Int r.pr_race);
-                         ("unknown", Int r.pr_unknown);
-                         ("sanitizer_accesses", Int r.pr_san_accesses);
-                         ("sanitizer_races_on_certified", Int r.pr_san_races);
-                         ("crosscheck_ok", Bool r.pr_xcheck_ok);
-                         ("static_seconds", Float r.pr_static_s);
-                         ("sanitizer_seconds", Float r.pr_san_s) ])
-                   rows) ) ])
+        [ ("name", Str r.D.name);
+          ("dims", Int (dims r));
+          ("certified", Int (cert r));
+          ("racy", Int (race r));
+          ("unknown", Int (unknown r));
+          ("sanitizer_accesses", Int (san r).Ddg.Race_san.sr_accesses);
+          ("sanitizer_races_on_certified", Int (san_races r));
+          ("crosscheck_ok", Bool (D.sound r));
+          ("static_seconds", Float r.D.static_s);
+          ("sanitizer_seconds", Float r.D.san_s) ]
     in
-    emit_bench "parcheck" doc
+    emit_bench "parcheck"
+      (Obj
+         (schema_header ~schema_version:Obs.Schemas.parcheck
+         @ [ ("dims", Int (tot dims));
+             ("certified", Int (tot cert));
+             ("racy", Int (tot race));
+             ("unknown", Int (tot unknown));
+             ("sanitizer_races_on_certified", Int (tot san_races));
+             ("all_sound", Bool all_sound);
+             ("workloads", List (List.map row rows)) ]))
   end
 
 let () =

@@ -11,9 +11,24 @@
 
 open Cmdliner
 
+(* a BENCH positional resolves through the workload registry, so an
+   unknown name is a usage error before any command runs *)
+let workload_conv =
+  Arg.conv ~docv:"BENCH"
+    ( (fun name ->
+        Result.map_error (fun e -> `Msg e) (Workloads.Registry.find name)),
+      fun fmt (w : Workloads.Workload.t) ->
+        Format.pp_print_string fmt w.Workloads.Workload.w_name )
+
 let bench_arg =
   let doc = "Benchmark name (see $(b,polyprof list))." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
+  Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"BENCH" ~doc)
+
+(* an optional BENCH: that one workload, or without it the whole [suite] *)
+let opt_bench_arg doc =
+  Arg.(value & pos 0 (some workload_conv) None & info [] ~docv:"BENCH" ~doc)
+
+let or_suite suite = function Some w -> [ w ] | None -> suite
 
 (* --telemetry / POLYPROF_TELEMETRY: run the command with the
    self-profiling subsystem on and print its span/metric summary on
@@ -39,61 +54,33 @@ let with_telemetry enabled f =
       f
   end
 
-let polybench_names =
-  List.map (fun (w : Workloads.Workload.t) -> w.w_name) Workloads.Polybench.all
-
-let find_workload name =
-  try Ok (Workloads.Rodinia.find name)
-  with Invalid_argument _ -> (
-    if name = "gems_fdtd" then Ok Workloads.Gems_fdtd.workload
-    else
-      match
-        List.find_opt
-          (fun (w : Workloads.Workload.t) -> w.w_name = name)
-          (Workloads.Polybench.all @ Workloads.Polybench.seeded)
-      with
-      | Some w -> Ok w
-      | None ->
-          Error
-            (Printf.sprintf "unknown benchmark %s (try: %s, gems_fdtd, %s)"
-               name
-               (String.concat ", " Workloads.Rodinia.names)
-               (String.concat ", " polybench_names)))
-
 let list_cmd =
   let run () =
-    List.iter print_endline Workloads.Rodinia.names;
-    print_endline "gems_fdtd";
-    List.iter print_endline polybench_names;
+    List.iter print_endline Workloads.Registry.names;
     0
   in
   Cmd.v (Cmd.info "list" ~doc:"List the available mini benchmarks")
     Term.(const run $ const ())
 
 let run_cmd =
-  let run name telemetry =
+  let run (w : Workloads.Workload.t) telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w -> (
-        let o = Workloads.Runner.run w in
-        match o.pipeline with
-        | None ->
-            Format.printf
-              "scheduling stage bailed out (%d dependence relations > budget \
-               %d)@."
-              o.dep_keys Workloads.Runner.sched_budget;
-            0
-        | Some t ->
-            Format.printf "== %s ==@." name;
-            Polyprof.render_feedback Format.std_formatter t;
-            Format.printf "@.== metrics ==@.";
-            Sched.Metrics.pp_table Format.std_formatter [ o.row ];
-            Format.printf "@.== static Polly baseline ==@.%a@."
-              Staticbase.Polly_lite.pp_verdict o.polly;
-            0)
+    let o = Workloads.Runner.run w in
+    match o.pipeline with
+    | None ->
+        Format.printf
+          "scheduling stage bailed out (%d dependence relations > budget \
+           %d)@."
+          o.dep_keys Workloads.Runner.sched_budget;
+        0
+    | Some t ->
+        Format.printf "== %s ==@." w.w_name;
+        Polyprof.render_feedback Format.std_formatter t;
+        Format.printf "@.== metrics ==@.";
+        Sched.Metrics.pp_table Format.std_formatter [ o.row ];
+        Format.printf "@.== static Polly baseline ==@.%a@."
+          Staticbase.Polly_lite.pp_verdict o.polly;
+        0
   in
   Cmd.v
     (Cmd.info "run"
@@ -108,25 +95,20 @@ let flamegraph_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write an SVG flame graph.")
   in
-  let run name out telemetry =
+  let run (w : Workloads.Workload.t) out telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let t = Polyprof.run_hir w.Workloads.Workload.hir in
-        (match out with
-        | Some path ->
-            let annot =
-              Report.Flamegraph.annot_of_analysis t.Polyprof.prog
-                t.Polyprof.analysis
-            in
-            Report.Flamegraph.write_svg ~path ~annot ~name:(Polyprof.ctx_name t)
-              t.Polyprof.profile.Ddg.Depprof.stree;
-            Format.printf "wrote %s@." path
-        | None -> print_string (Polyprof.flamegraph_ascii t));
-        0
+    let t = Polyprof.run_hir w.Workloads.Workload.hir in
+    (match out with
+    | Some path ->
+        let annot =
+          Report.Flamegraph.annot_of_analysis t.Polyprof.prog
+            t.Polyprof.analysis
+        in
+        Report.Flamegraph.write_svg ~path ~annot ~name:(Polyprof.ctx_name t)
+          t.Polyprof.profile.Ddg.Depprof.stree;
+        Format.printf "wrote %s@." path
+    | None -> print_string (Polyprof.flamegraph_ascii t));
+    0
   in
   Cmd.v
     (Cmd.info "flamegraph"
@@ -153,19 +135,14 @@ let table5_cmd =
     Term.(const run $ paper $ telemetry_flag)
 
 let polly_cmd =
-  let run name =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let v =
-          Staticbase.Polly_lite.analyse_function w.Workloads.Workload.hir
-            w.Workloads.Workload.kernel_func
-        in
-        Format.printf "%s (%s): %a@." name w.Workloads.Workload.kernel_func
-          Staticbase.Polly_lite.pp_verdict v;
-        0
+  let run (w : Workloads.Workload.t) =
+    let v =
+      Staticbase.Polly_lite.analyse_function w.Workloads.Workload.hir
+        w.Workloads.Workload.kernel_func
+    in
+    Format.printf "%s (%s): %a@." w.w_name w.Workloads.Workload.kernel_func
+      Staticbase.Polly_lite.pp_verdict v;
+    0
   in
   Cmd.v
     (Cmd.info "polly"
@@ -179,42 +156,37 @@ let trace_cmd =
       value & opt int 60
       & info [ "limit" ] ~docv:"N" ~doc:"Stop after N loop events.")
   in
-  let run name limit =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-        let structure = Cfg.Cfg_builder.run prog in
-        let iiv = Ddg.Iiv.create () in
-        let levents =
-          Ddg.Loop_events.create structure ~main:prog.Vm.Prog.main
-        in
-        let count = ref 0 in
-        let exception Done in
-        let show evs =
-          List.iter
-            (fun ev ->
-              Ddg.Iiv.update iiv ev;
-              incr count;
-              if !count <= limit then
-                Format.printf "%4d: %-28s %s@." !count
-                  (Format.asprintf "%a" Ddg.Loop_events.pp ev)
-                  (Ddg.Iiv.to_string iiv)
-              else raise Done)
-            evs
-        in
-        (try
-           show (Ddg.Loop_events.start levents);
-           let callbacks =
-             { Vm.Interp.on_control =
-                 (fun ev -> show (Ddg.Loop_events.feed levents ev));
-               on_exec = ignore }
-           in
-           ignore (Vm.Interp.run ~callbacks prog)
-         with Done -> ());
-        0
+  let run (w : Workloads.Workload.t) limit =
+    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
+    let structure = Cfg.Cfg_builder.run prog in
+    let iiv = Ddg.Iiv.create () in
+    let levents =
+      Ddg.Loop_events.create structure ~main:prog.Vm.Prog.main
+    in
+    let count = ref 0 in
+    let exception Done in
+    let show evs =
+      List.iter
+        (fun ev ->
+          Ddg.Iiv.update iiv ev;
+          incr count;
+          if !count <= limit then
+            Format.printf "%4d: %-28s %s@." !count
+              (Format.asprintf "%a" Ddg.Loop_events.pp ev)
+              (Ddg.Iiv.to_string iiv)
+          else raise Done)
+        evs
+    in
+    (try
+       show (Ddg.Loop_events.start levents);
+       let callbacks =
+         { Vm.Interp.on_control =
+             (fun ev -> show (Ddg.Loop_events.feed levents ev));
+           on_exec = ignore }
+       in
+       ignore (Vm.Interp.run ~callbacks prog)
+     with Done -> ());
+    0
   in
   Cmd.v
     (Cmd.info "show"
@@ -236,21 +208,16 @@ let trace_record_cmd =
       & info [ "chunk-bytes" ] ~docv:"BYTES"
           ~doc:"Chunk payload budget of the binary codec.")
   in
-  let run name out chunk telemetry =
+  let run (w : Workloads.Workload.t) out chunk telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-        let wi = Stream.Trace_file.record_to_file ~chunk_bytes:chunk prog out in
-        Format.printf
-          "wrote %s: %d events in %d chunks, %d bytes (%.2f s, %.1f Mev/s)@."
-          out wi.Stream.Trace_file.wi_events wi.wi_chunks wi.wi_bytes
-          wi.wi_seconds
-          (float_of_int wi.wi_events /. (wi.wi_seconds +. 1e-9) /. 1e6);
-        0
+    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
+    let wi = Stream.Trace_file.record_to_file ~chunk_bytes:chunk prog out in
+    Format.printf
+      "wrote %s: %d events in %d chunks, %d bytes (%.2f s, %.1f Mev/s)@."
+      out wi.Stream.Trace_file.wi_events wi.wi_chunks wi.wi_bytes
+      wi.wi_seconds
+      (float_of_int wi.wi_events /. (wi.wi_seconds +. 1e-9) /. 1e6);
+    0
   in
   Cmd.v
     (Cmd.info "record"
@@ -266,74 +233,66 @@ let trace_stats_cmd =
       & info [ "domains"; "j" ] ~docv:"N"
           ~doc:"Worker domains for the sharded profiler.")
   in
-  let run name domains telemetry =
+  let run (w : Workloads.Workload.t) domains telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let now = Obs.Clock.monotonic in
-        let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-        let trace, stats = Vm.Trace.record prog in
-        let mem_bytes = String.length (Marshal.to_string trace []) in
-        let path = Filename.temp_file "polyprof" ".trace" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        @@ fun () ->
-        let t0 = now () in
-        let disk_bytes = Stream.Trace_file.save ~stats trace path in
-        let t_enc = now () -. t0 in
-        let t0 = now () in
-        let decoded =
-          Stream.Source.with_file path (fun src ->
-              let n = ref 0 in
-              Stream.Source.iter src (fun _ -> incr n);
-              !n)
-        in
-        let t_dec = now () -. t0 in
-        let builder = Cfg.Cfg_builder.create prog in
-        Stream.Source.with_file path (fun src ->
-            Stream.Source.replay src (Cfg.Cfg_builder.callbacks builder));
-        let structure = Cfg.Cfg_builder.finalize builder in
-        let { Stream.Par_profile.result; par_stats } =
-          Stream.Par_profile.profile_file ~domains path prog ~structure
-        in
-        let mevs n s = float_of_int n /. (s +. 1e-9) /. 1e6 in
-        let mbs n s = float_of_int n /. (s +. 1e-9) /. (1024. *. 1024.) in
-        let ints a =
-          String.concat " "
-            (Array.to_list (Array.map string_of_int a))
-        in
-        Format.printf "== trace stats: %s ==@." name;
-        Format.printf "events          %d (%d control, %d exec)@."
-          (Vm.Trace.n_events trace) (Vm.Trace.n_control trace)
-          (Vm.Trace.n_exec trace);
-        Format.printf "bytes on disk   %d (in-memory %d, %.1fx smaller)@."
-          disk_bytes mem_bytes
-          (float_of_int mem_bytes /. float_of_int (max 1 disk_bytes));
-        Format.printf "encode          %.2f Mev/s, %.1f MB/s@."
-          (mevs (Vm.Trace.n_events trace) t_enc)
-          (mbs disk_bytes t_enc);
-        Format.printf "decode          %.2f Mev/s, %.1f MB/s (%d events)@."
-          (mevs decoded t_dec) (mbs disk_bytes t_dec) decoded;
-        Format.printf "== sharded profile (%d domains) ==@."
-          par_stats.Stream.Par_profile.domains;
-        Format.printf "domain events   [%s]@."
-          (ints par_stats.Stream.Par_profile.per_domain_events);
-        Format.printf "domain edges    [%s]@."
-          (ints par_stats.Stream.Par_profile.per_domain_dep_edges);
-        Format.printf "peak shadow     [%s]@."
-          (ints par_stats.Stream.Par_profile.per_domain_peak_shadow);
-        Format.printf "replay          %.3f s, merge %.3f s@."
-          par_stats.Stream.Par_profile.replay_seconds
-          par_stats.Stream.Par_profile.merge_seconds;
-        Format.printf "profile         %d statements, %d dependence \
-                       relations, %d dynamic edges@."
-          (List.length result.Ddg.Depprof.stmts)
-          (List.length result.Ddg.Depprof.deps)
-          result.Ddg.Depprof.total_dep_edges;
-        0
+    let now = Obs.Clock.monotonic in
+    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
+    let trace, stats = Vm.Trace.record prog in
+    let mem_bytes = String.length (Marshal.to_string trace []) in
+    let path = Filename.temp_file "polyprof" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    @@ fun () ->
+    let t0 = now () in
+    let disk_bytes = Stream.Trace_file.save ~stats trace path in
+    let t_enc = now () -. t0 in
+    let t0 = now () in
+    let decoded =
+      Stream.Source.with_file path (fun src ->
+          let n = ref 0 in
+          Stream.Source.iter src (fun _ -> incr n);
+          !n)
+    in
+    let t_dec = now () -. t0 in
+    let structure = Stream.Trace_file.structure prog path in
+    let { Stream.Par_profile.result; par_stats } =
+      Stream.Par_profile.profile_file ~domains path prog ~structure
+    in
+    let mevs n s = float_of_int n /. (s +. 1e-9) /. 1e6 in
+    let mbs n s = float_of_int n /. (s +. 1e-9) /. (1024. *. 1024.) in
+    let ints a =
+      String.concat " "
+        (Array.to_list (Array.map string_of_int a))
+    in
+    Format.printf "== trace stats: %s ==@." w.w_name;
+    Format.printf "events          %d (%d control, %d exec)@."
+      (Vm.Trace.n_events trace) (Vm.Trace.n_control trace)
+      (Vm.Trace.n_exec trace);
+    Format.printf "bytes on disk   %d (in-memory %d, %.1fx smaller)@."
+      disk_bytes mem_bytes
+      (float_of_int mem_bytes /. float_of_int (max 1 disk_bytes));
+    Format.printf "encode          %.2f Mev/s, %.1f MB/s@."
+      (mevs (Vm.Trace.n_events trace) t_enc)
+      (mbs disk_bytes t_enc);
+    Format.printf "decode          %.2f Mev/s, %.1f MB/s (%d events)@."
+      (mevs decoded t_dec) (mbs disk_bytes t_dec) decoded;
+    Format.printf "== sharded profile (%d domains) ==@."
+      par_stats.Stream.Par_profile.domains;
+    Format.printf "domain events   [%s]@."
+      (ints par_stats.Stream.Par_profile.per_domain_events);
+    Format.printf "domain edges    [%s]@."
+      (ints par_stats.Stream.Par_profile.per_domain_dep_edges);
+    Format.printf "peak shadow     [%s]@."
+      (ints par_stats.Stream.Par_profile.per_domain_peak_shadow);
+    Format.printf "replay          %.3f s, merge %.3f s@."
+      par_stats.Stream.Par_profile.replay_seconds
+      par_stats.Stream.Par_profile.merge_seconds;
+    Format.printf "profile         %d statements, %d dependence \
+                   relations, %d dynamic edges@."
+      (List.length result.Ddg.Depprof.stmts)
+      (List.length result.Ddg.Depprof.deps)
+      result.Ddg.Depprof.total_dep_edges;
+    0
   in
   Cmd.v
     (Cmd.info "stats"
@@ -416,40 +375,35 @@ let trace_cmd =
     [ trace_cmd; trace_record_cmd; trace_stats_cmd; trace_fetch_cmd ]
 
 let deps_cmd =
-  let run name telemetry =
+  let run (w : Workloads.Workload.t) telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let t = Polyprof.run_hir w.Workloads.Workload.hir in
-        let fname fid = (t.Polyprof.prog.Vm.Prog.funcs.(fid)).Vm.Prog.fname in
-        Format.printf "== folded dependence relations of %s ==@." name;
+    let t = Polyprof.run_hir w.Workloads.Workload.hir in
+    let fname fid = (t.Polyprof.prog.Vm.Prog.funcs.(fid)).Vm.Prog.fname in
+    Format.printf "== folded dependence relations of %s ==@." w.w_name;
+    List.iter
+      (fun (d : Ddg.Depprof.dep_info) ->
+        Format.printf "%s.%a -> %s.%a (%s, %d dynamic edges):@."
+          (fname (Vm.Isa.Sid.fid d.dk.src_sid))
+          Vm.Isa.Sid.pp d.dk.src_sid
+          (fname (Vm.Isa.Sid.fid d.dk.dst_sid))
+          Vm.Isa.Sid.pp d.dk.dst_sid
+          (match d.dk.kind with
+          | Ddg.Depprof.Reg_dep -> "reg"
+          | Ddg.Depprof.Mem_dep -> "mem"
+          | Ddg.Depprof.Out_dep -> "waw")
+          d.d_count;
         List.iter
-          (fun (d : Ddg.Depprof.dep_info) ->
-            Format.printf "%s.%a -> %s.%a (%s, %d dynamic edges):@."
-              (fname (Vm.Isa.Sid.fid d.dk.src_sid))
-              Vm.Isa.Sid.pp d.dk.src_sid
-              (fname (Vm.Isa.Sid.fid d.dk.dst_sid))
-              Vm.Isa.Sid.pp d.dk.dst_sid
-              (match d.dk.kind with
-              | Ddg.Depprof.Reg_dep -> "reg"
-              | Ddg.Depprof.Mem_dep -> "mem"
-              | Ddg.Depprof.Out_dep -> "waw")
-              d.d_count;
-            List.iter
-              (fun p ->
-                Format.printf "  %a@."
-                  (Fold.pp_piece ?names:None ?label_names:None) p)
-              d.d_pieces)
-          t.Polyprof.profile.Ddg.Depprof.deps;
-        Format.printf
-          "(%d relations; SCEV pruning removed %d of %d dynamic edges)@."
-          (List.length t.Polyprof.profile.Ddg.Depprof.deps)
-          t.Polyprof.profile.Ddg.Depprof.pruned_dep_edges
-          t.Polyprof.profile.Ddg.Depprof.total_dep_edges;
-        0
+          (fun p ->
+            Format.printf "  %a@."
+              (Fold.pp_piece ?names:None ?label_names:None) p)
+          d.d_pieces)
+      t.Polyprof.profile.Ddg.Depprof.deps;
+    Format.printf
+      "(%d relations; SCEV pruning removed %d of %d dynamic edges)@."
+      (List.length t.Polyprof.profile.Ddg.Depprof.deps)
+      t.Polyprof.profile.Ddg.Depprof.pruned_dep_edges
+      t.Polyprof.profile.Ddg.Depprof.total_dep_edges;
+    0
   in
   Cmd.v
     (Cmd.info "deps"
@@ -508,11 +462,9 @@ let lint_entry_json (e : Analysis.Lint.entry) =
 
 let lint_cmd =
   let bench =
-    let doc =
+    opt_bench_arg
       "Benchmark to lint verbosely; without it, lint every bundled \
        benchmark and print the summary table."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
   in
   let lint_one (w : Workloads.Workload.t) =
     let prog = Vm.Hir.lower w.Workloads.Workload.hir in
@@ -527,23 +479,15 @@ let lint_cmd =
   let run bench json telemetry =
     with_telemetry telemetry @@ fun () ->
     match bench with
-    | Some name -> (
-        match find_workload name with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok w ->
-            let prog, entry = lint_one w in
-            if json then print_endline (lint_entry_json entry)
-            else Format.printf "%a@." (Analysis.Lint.pp_entry ~prog ()) entry;
-            if Analysis.Lint.passed entry then 0 else 1)
+    | Some w ->
+        let prog, entry = lint_one w in
+        if json then print_endline (lint_entry_json entry)
+        else Format.printf "%a@." (Analysis.Lint.pp_entry ~prog ()) entry;
+        if Analysis.Lint.passed entry then 0 else 1
     | None ->
-        let ws =
-          Workloads.Rodinia.all
-          @ [ Workloads.Gems_fdtd.workload ]
-          @ Workloads.Polybench.all
+        let entries =
+          List.map (fun w -> snd (lint_one w)) Workloads.Registry.suite
         in
-        let entries = List.map (fun w -> snd (lint_one w)) ws in
         let failed = List.filter (fun e -> not (Analysis.Lint.passed e)) entries in
         if json then
           Printf.printf "[\n%s\n]\n"
@@ -571,11 +515,9 @@ let lint_cmd =
 
 let staticdep_cmd =
   let bench =
-    let doc =
+    opt_bench_arg
       "Benchmark to analyse verbosely; without it, print the summary table \
        over every bundled benchmark."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
   in
   let prune =
     Arg.(
@@ -586,148 +528,22 @@ let staticdep_cmd =
              instrumentation-pruning plan -- and report the pruned dynamic \
              access fraction and the equality of the two profiles.")
   in
-  let analyse_one (w : Workloads.Workload.t) =
-    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-    (prog, Analysis.Statdep.analyse prog)
-  in
-  (* a diverging pruned profile turns into a nonzero exit code, so
-     `staticdep --prune` doubles as a self-validation smoke test *)
-  let prune_failures = ref 0 in
-  (* the hybrid driver: speculative plan first, witness-failure reruns
-     handled by [fallback_profile] *)
-  let prune_stats prog =
-    let structure = Cfg.Cfg_builder.run prog in
-    let base = Ddg.Depprof.profile prog ~structure in
-    let _sd, pruned, reruns =
-      Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
-          Ddg.Depprof.profile prog ~structure ~static_prune:plan)
-    in
-    let mem = base.Ddg.Depprof.run_stats.Vm.Interp.dyn_mem_ops in
-    let equal = Ddg.Depprof.equal_result base pruned in
-    if not equal then incr prune_failures;
-    ( pruned.Ddg.Depprof.statically_pruned,
-      mem,
-      equal,
-      List.length pruned.Ddg.Depprof.witnesses,
-      reruns )
-  in
-  let sd_json name (prog : Vm.Prog.t) (sd : Analysis.Statdep.t) prune =
-    let possible =
-      List.length
-        (List.filter
-           (fun (p : Analysis.Statdep.pair_dep) -> p.pd_possible)
-           sd.Analysis.Statdep.pairs)
-    in
-    let prune_part =
-      if not prune then ""
-      else
-        let pruned_dyn, mem, equal, witnesses, reruns = prune_stats prog in
-        Printf.sprintf
-          ", \"pruned_dynamic\": %d, \"dyn_mem_ops\": %d, \
-           \"pruned_fraction\": %.4f, \"profiles_equal\": %b, \
-           \"speculative_witnesses\": %d, \"witness_reruns\": %d"
-          pruned_dyn mem
-          (float_of_int pruned_dyn /. float_of_int (max 1 mem))
-          equal witnesses reruns
-    in
-    Printf.sprintf
-      "{\"name\": %s, \"accesses\": %d, \"resolved\": %d, \"pruned\": %d, \
-       \"prunable_regions\": [%s], \"pairs\": %d, \"possible_pairs\": %d%s}"
-      (json_string name) sd.Analysis.Statdep.n_accesses
-      (Analysis.Statdep.n_resolved sd)
-      (Analysis.Statdep.n_pruned sd)
-      (String.concat ", "
-         (List.map json_string (Analysis.Statdep.prunable_regions sd)))
-      (List.length sd.Analysis.Statdep.pairs)
-      possible prune_part
-  in
   let run bench prune json telemetry =
     with_telemetry telemetry @@ fun () ->
-    match bench with
-    | Some name -> (
-        match find_workload name with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok w ->
-            let prog, sd = analyse_one w in
-            if json then print_endline (sd_json name prog sd prune)
-            else begin
-              Format.printf "%a@." Analysis.Statdep.pp sd;
-              if prune then begin
-                let pruned_dyn, mem, equal, witnesses, reruns =
-                  prune_stats prog
-                in
-                Format.printf
-                  "pruning: %d/%d dynamic accesses skipped shadow tracking \
-                   (%.1f%%), %d witness probe%s, %d witness-failure rerun%s, \
-                   pruned profile %s the unpruned one@."
-                  pruned_dyn mem
-                  (100.0 *. float_of_int pruned_dyn
-                  /. float_of_int (max 1 mem))
-                  witnesses
-                  (if witnesses = 1 then "" else "s")
-                  reruns
-                  (if reruns = 1 then "" else "s")
-                  (if equal then "IDENTICAL to" else "DIFFERS from")
-              end
-            end;
-            if !prune_failures > 0 then 1 else 0)
-    | None ->
-        let ws =
-          Workloads.Rodinia.all
-          @ [ Workloads.Gems_fdtd.workload ]
-          @ Workloads.Polybench.all
-        in
-        if json then
-          Printf.printf "[\n%s\n]\n"
-            (String.concat ",\n"
-               (List.map
-                  (fun (w : Workloads.Workload.t) ->
-                    let prog, sd = analyse_one w in
-                    "  " ^ sd_json w.w_name prog sd prune)
-                  ws))
-        else begin
-          let header =
-            [ "Workload"; "Acc"; "Res"; "Pruned"; "Regions"; "Pairs"; "Dep" ]
-            @ if prune then [ "DynPruned"; "Wit"; "Fail"; "Equal" ] else []
-          in
-          let rows =
-            List.map
-              (fun (w : Workloads.Workload.t) ->
-                let prog, sd = analyse_one w in
-                let possible =
-                  List.length
-                    (List.filter
-                       (fun (p : Analysis.Statdep.pair_dep) -> p.pd_possible)
-                       sd.Analysis.Statdep.pairs)
-                in
-                [ w.w_name;
-                  string_of_int sd.Analysis.Statdep.n_accesses;
-                  string_of_int (Analysis.Statdep.n_resolved sd);
-                  string_of_int (Analysis.Statdep.n_pruned sd);
-                  string_of_int
-                    (List.length (Analysis.Statdep.prunable_regions sd));
-                  string_of_int (List.length sd.Analysis.Statdep.pairs);
-                  string_of_int possible ]
-                @
-                if prune then begin
-                  let pruned_dyn, mem, equal, witnesses, reruns =
-                    prune_stats prog
-                  in
-                  [ Printf.sprintf "%d/%d (%.0f%%)" pruned_dyn mem
-                      (100.0 *. float_of_int pruned_dyn
-                      /. float_of_int (max 1 mem));
-                    string_of_int witnesses;
-                    string_of_int reruns;
-                    (if equal then "Y" else "N!") ]
-                end
-                else [])
-              ws
-          in
-          print_string (Report.Texttable.render ~header rows)
-        end;
-        if !prune_failures > 0 then 1 else 0
+    let module D = Workloads.Staticdep_driver in
+    let rs =
+      List.map (D.run ~prune) (or_suite Workloads.Registry.suite bench)
+    in
+    (match (bench, json) with
+    | Some _, true -> List.iter (fun r -> print_endline (D.to_json r)) rs
+    | Some _, false -> List.iter (D.pp Format.std_formatter) rs
+    | None, true ->
+        Printf.printf "[\n%s\n]\n"
+          (String.concat ",\n" (List.map (fun r -> "  " ^ D.to_json r) rs))
+    | None, false -> print_string (D.table rs));
+    (* a diverging pruned profile turns into a nonzero exit code, so
+       `staticdep --prune` doubles as a self-validation smoke test *)
+    if List.for_all D.sound rs then 0 else 1
   in
   Cmd.v
     (Cmd.info "staticdep"
@@ -740,11 +556,9 @@ let staticdep_cmd =
 
 let parcheck_cmd =
   let bench =
-    let doc =
+    opt_bench_arg
       "Benchmark to certify verbosely; without it, print the summary table \
        over every bundled benchmark (plus the seeded par_* variants)."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
   in
   let static_only =
     Arg.(
@@ -754,176 +568,19 @@ let parcheck_cmd =
             "Skip the dynamic race sanitizer run (and with it the \
              static/dynamic cross-check); report static verdicts only.")
   in
-  let module J = struct
-    let dim (d : Analysis.Parcheck.dim_report) =
-      let open Obs.Json_emit in
-      Obj
-        ([ ("fid", Int d.Analysis.Parcheck.dr_fid);
-           ("header", Int d.Analysis.Parcheck.dr_header);
-           ("depth", Int d.Analysis.Parcheck.dr_depth);
-           ( "loc",
-             match d.Analysis.Parcheck.dr_loc with
-             | Some l ->
-                 Str (Printf.sprintf "%s:%d" l.Vm.Prog.file l.Vm.Prog.line)
-             | None -> Null );
-           ( "verdict",
-             Str (Analysis.Parcheck.verdict_code d.Analysis.Parcheck.dr_verdict)
-           ) ]
-        @
-        match d.Analysis.Parcheck.dr_verdict with
-        | Analysis.Parcheck.Certified c ->
-            [ ("pairs", Int c.Analysis.Parcheck.ct_pairs);
-              ( "private_regions",
-                Int (List.length c.Analysis.Parcheck.ct_private) );
-              ( "reduction_accesses",
-                Int (List.length c.Analysis.Parcheck.ct_reductions) ) ]
-        | Analysis.Parcheck.Race ws -> [ ("witnesses", Int (List.length ws)) ]
-        | Analysis.Parcheck.Unknown why -> [ ("reason", Str why) ])
-
-    let sanitizer (r : Ddg.Race_san.report) =
-      let open Obs.Json_emit in
-      Obj
-        [ ("accesses", Int r.Ddg.Race_san.sr_accesses);
-          ( "races_on_certified",
-            Int (Ddg.Race_san.races_on_certified r) );
-          ( "claims",
-            List
-              (List.map
-                 (fun (cs : Ddg.Race_san.claim_stats) ->
-                   Obj
-                     [ ( "label",
-                         Str cs.Ddg.Race_san.cs_claim.Ddg.Race_san.cl_label );
-                       ( "certified",
-                         Bool
-                           cs.Ddg.Race_san.cs_claim.Ddg.Race_san.cl_certified
-                       );
-                       ("instances", Int cs.Ddg.Race_san.cs_instances);
-                       ("iterations", Int cs.Ddg.Race_san.cs_iterations);
-                       ("races", Int cs.Ddg.Race_san.cs_n_races);
-                       ("covered", Int cs.Ddg.Race_san.cs_covered) ])
-                 r.Ddg.Race_san.sr_claims) ) ]
-
-    let workload name (pc : Analysis.Parcheck.t) san diags =
-      let open Obs.Json_emit in
-      Obj
-        ([ ("name", Str name);
-           ("dims", List (List.map dim pc.Analysis.Parcheck.pc_dims));
-           ("certified", Int (Analysis.Parcheck.n_certified pc));
-           ("races", Int (Analysis.Parcheck.n_races pc)) ]
-        @ (match san with
-          | Some r -> [ ("sanitizer", sanitizer r) ]
-          | None -> [])
-        @
-        match diags with
-        | Some ds ->
-            [ ( "crosscheck_ok",
-                Bool (Analysis.Parcheck.crosscheck_ok ds) );
-              ( "diagnostics",
-                List
-                  (List.map
-                     (fun d -> Str (Analysis.Diag.to_string d))
-                     ds) ) ]
-        | None -> [])
-  end in
-  let analyse_one ~static_only (w : Workloads.Workload.t) =
-    let prog = Vm.Hir.lower w.Workloads.Workload.hir in
-    let pc = Analysis.Parcheck.analyse prog in
-    if static_only then (pc, None, None)
-    else
-      let san = Analysis.Parcheck.sanitize pc in
-      let diags = Analysis.Parcheck.crosscheck pc san in
-      (pc, Some san, Some diags)
-  in
-  let failed diags =
-    match diags with
-    | Some ds -> not (Analysis.Parcheck.crosscheck_ok ds)
-    | None -> false
-  in
   let run bench static_only json telemetry =
     with_telemetry telemetry @@ fun () ->
-    match bench with
-    | Some name -> (
-        match find_workload name with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok w ->
-            let pc, san, diags = analyse_one ~static_only w in
-            if json then
-              print_endline
-                (Obs.Json_emit.to_string ~pretty:true
-                   (J.workload name pc san diags))
-            else begin
-              Format.printf "%a@." Analysis.Parcheck.pp pc;
-              (match san with
-              | Some r -> Format.printf "%a" Ddg.Race_san.pp_report r
-              | None -> ());
-              match diags with
-              | Some ds ->
-                  List.iter
-                    (fun d ->
-                      Format.printf "%s@." (Analysis.Diag.to_string d))
-                    ds
-              | None -> ()
-            end;
-            if failed diags then 1 else 0)
-    | None ->
-        let ws =
-          Workloads.Rodinia.all
-          @ [ Workloads.Gems_fdtd.workload ]
-          @ Workloads.Polybench.all @ Workloads.Polybench.seeded
-        in
-        let rows =
-          List.map
-            (fun (w : Workloads.Workload.t) ->
-              let pc, san, diags = analyse_one ~static_only w in
-              (w.Workloads.Workload.w_name, pc, san, diags))
-            ws
-        in
-        let any_failed =
-          List.exists (fun (_, _, _, diags) -> failed diags) rows
-        in
-        if json then
-          print_endline
-            (Obs.Json_emit.to_string ~pretty:true
-               (Obs.Json_emit.List
-                  (List.map
-                     (fun (name, pc, san, diags) ->
-                       J.workload name pc san diags)
-                     rows)))
-        else begin
-          let header =
-            [ "Workload"; "Dims"; "Cert"; "Race"; "Unk" ]
-            @ if static_only then [] else [ "SanRaces"; "Xcheck" ]
-          in
-          let trows =
-            List.map
-              (fun (name, (pc : Analysis.Parcheck.t), san, diags) ->
-                let dims = List.length pc.Analysis.Parcheck.pc_dims in
-                let cert = Analysis.Parcheck.n_certified pc in
-                let race = Analysis.Parcheck.n_races pc in
-                [ name;
-                  string_of_int dims;
-                  string_of_int cert;
-                  string_of_int race;
-                  string_of_int (dims - cert - race) ]
-                @
-                if static_only then []
-                else
-                  [ (match san with
-                    | Some r ->
-                        string_of_int
-                          (List.fold_left
-                             (fun a (cs : Ddg.Race_san.claim_stats) ->
-                               a + cs.Ddg.Race_san.cs_n_races)
-                             0 r.Ddg.Race_san.sr_claims)
-                    | None -> "-");
-                    (if failed diags then "FAIL!" else "ok") ])
-              rows
-          in
-          print_string (Report.Texttable.render ~header trows)
-        end;
-        if any_failed then 1 else 0
+    let module D = Workloads.Parcheck_driver in
+    let rs =
+      List.map (D.run ~static_only) (or_suite Workloads.Registry.all bench)
+    in
+    let json_doc v = print_endline (Obs.Json_emit.to_string ~pretty:true v) in
+    (match (bench, json) with
+    | Some _, true -> List.iter (fun r -> json_doc (D.to_json r)) rs
+    | Some _, false -> List.iter (D.pp Format.std_formatter) rs
+    | None, true -> json_doc (Obs.Json_emit.List (List.map D.to_json rs))
+    | None, false -> print_string (D.table rs));
+    if List.for_all D.sound rs then 0 else 1
   in
   Cmd.v
     (Cmd.info "parcheck"
@@ -957,52 +614,47 @@ let transform_cmd =
       & info [ "eps" ] ~docv:"EPS"
           ~doc:"Relative tolerance for float memory cells.")
   in
-  let run name verify max_plans eps telemetry =
+  let run (w : Workloads.Workload.t) verify max_plans eps telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let hir = w.Workloads.Workload.hir in
-        if not verify then begin
-          (* apply the hottest plan and show the transformed source *)
-          let t = Polyprof.run_hir hir in
-          let plans = Sched.Plan.plans_of_feedback t.Polyprof.feedback in
-          match plans with
-          | [] ->
-              Format.printf "no applicable transformation plans for %s@." name;
-              0
-          | plan :: _ -> (
-              Format.printf "== plan for %s: nest %s ==@." name
-                (Sched.Plan.describe plan);
+    let hir = w.Workloads.Workload.hir in
+    if not verify then begin
+      (* apply the hottest plan and show the transformed source *)
+      let t = Polyprof.run_hir hir in
+      let plans = Sched.Plan.plans_of_feedback t.Polyprof.feedback in
+      match plans with
+      | [] ->
+          Format.printf "no applicable transformation plans for %s@." w.w_name;
+          0
+      | plan :: _ -> (
+          Format.printf "== plan for %s: nest %s ==@." w.w_name
+            (Sched.Plan.describe plan);
+          List.iter
+            (fun s -> Format.printf "  %a@." Sched.Transform.pp_step s)
+            plan.Sched.Plan.p_steps;
+          match Xform.Apply.apply_plan hir plan with
+          | Error e ->
+              Format.printf "cannot apply: %s@." e;
+              1
+          | Ok o ->
               List.iter
-                (fun s -> Format.printf "  %a@." Sched.Transform.pp_step s)
-                plan.Sched.Plan.p_steps;
-              match Xform.Apply.apply_plan hir plan with
-              | Error e ->
-                  Format.printf "cannot apply: %s@." e;
-                  1
-              | Ok o ->
-                  List.iter
-                    (fun a -> Format.printf "%a@." Xform.Apply.pp_applied a)
-                    o.Xform.Apply.o_applied;
-                  List.iter
-                    (fun (s, why) ->
-                      Format.printf "skipped %a: %s@." Sched.Transform.pp_step s
-                        why)
-                    o.Xform.Apply.o_skipped;
-                  Format.printf "== transformed source ==@.%a@."
-                    Vm.Hir.pp_program o.Xform.Apply.o_hir;
-                  0)
-        end
-        else begin
-          let summary =
-            Polyprof.apply_and_verify ~eps ~max_plans ~name hir
-          in
-          Format.printf "%a@." Xform.Driver.pp_summary summary;
-          if summary.Xform.Driver.sm_rejected = 0 then 0 else 1
-        end
+                (fun a -> Format.printf "%a@." Xform.Apply.pp_applied a)
+                o.Xform.Apply.o_applied;
+              List.iter
+                (fun (s, why) ->
+                  Format.printf "skipped %a: %s@." Sched.Transform.pp_step s
+                    why)
+                o.Xform.Apply.o_skipped;
+              Format.printf "== transformed source ==@.%a@."
+                Vm.Hir.pp_program o.Xform.Apply.o_hir;
+              0)
+    end
+    else begin
+      let summary =
+        Polyprof.apply_and_verify ~eps ~max_plans ~name:w.w_name hir
+      in
+      Format.printf "%a@." Xform.Driver.pp_summary summary;
+      if summary.Xform.Driver.sm_rejected = 0 then 0 else 1
+    end
   in
   Cmd.v
     (Cmd.info "transform"
@@ -1013,14 +665,9 @@ let transform_cmd =
     Term.(const run $ bench_arg $ verify $ max_plans $ eps $ telemetry_flag)
 
 let source_cmd =
-  let run name =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        Format.printf "%a@." Vm.Hir.pp_program w.Workloads.Workload.hir;
-        0
+  let run (w : Workloads.Workload.t) =
+    Format.printf "%a@." Vm.Hir.pp_program w.Workloads.Workload.hir;
+    0
   in
   Cmd.v
     (Cmd.info "source"
@@ -1042,46 +689,41 @@ let telemetry_cmd =
   let svg =
     file_opt [ "svg" ] "FILE" "Write a self-profile flame graph SVG."
   in
-  let run name trace_json prom svg =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        Obs.Registry.enable ();
-        Obs.Metrics.reset ();
-        Obs.Span.reset ();
-        let o = Workloads.Runner.run w in
-        Format.printf "== %s pipeline telemetry (sched %s) ==@." name
-          (if o.Workloads.Runner.sched_bailed then "bailed" else "ok");
-        let roots = Obs.Span.roots () in
-        let metrics = Obs.Metrics.snapshot () in
-        print_string (Report.Obs_report.summary ~metrics roots);
-        let wrote = ref 0 in
-        Option.iter
-          (fun path ->
-            Obs.Chrome.write_file ~path ~process_name:("polyprof " ^ name)
-              ~metrics roots;
-            match Obs.Chrome.validate_file path with
-            | Ok n ->
-                incr wrote;
-                Format.printf "wrote %s (%d trace events, validated)@." path n
-            | Error e ->
-                Format.eprintf "emitted Chrome trace failed validation: %s@." e)
-          trace_json;
-        Option.iter
-          (fun path ->
-            Obs.Prometheus.write_file ~path metrics;
+  let run (w : Workloads.Workload.t) trace_json prom svg =
+    Obs.Registry.enable ();
+    Obs.Metrics.reset ();
+    Obs.Span.reset ();
+    let o = Workloads.Runner.run w in
+    Format.printf "== %s pipeline telemetry (sched %s) ==@." w.w_name
+      (if o.Workloads.Runner.sched_bailed then "bailed" else "ok");
+    let roots = Obs.Span.roots () in
+    let metrics = Obs.Metrics.snapshot () in
+    print_string (Report.Obs_report.summary ~metrics roots);
+    let wrote = ref 0 in
+    Option.iter
+      (fun path ->
+        Obs.Chrome.write_file ~path ~process_name:("polyprof " ^ w.w_name)
+          ~metrics roots;
+        match Obs.Chrome.validate_file path with
+        | Ok n ->
             incr wrote;
-            Format.printf "wrote %s@." path)
-          prom;
-        Option.iter
-          (fun path ->
-            Report.Obs_report.write_flamegraph_svg ~path roots;
-            incr wrote;
-            Format.printf "wrote %s@." path)
-          svg;
-        0
+            Format.printf "wrote %s (%d trace events, validated)@." path n
+        | Error e ->
+            Format.eprintf "emitted Chrome trace failed validation: %s@." e)
+      trace_json;
+    Option.iter
+      (fun path ->
+        Obs.Prometheus.write_file ~path metrics;
+        incr wrote;
+        Format.printf "wrote %s@." path)
+      prom;
+    Option.iter
+      (fun path ->
+        Report.Obs_report.write_flamegraph_svg ~path roots;
+        incr wrote;
+        Format.printf "wrote %s@." path)
+      svg;
+    0
   in
   Cmd.v
     (Cmd.info "telemetry"
@@ -1106,18 +748,13 @@ let overhead_cmd =
       & info [ "repeat" ] ~docv:"N"
           ~doc:"Repetitions per configuration (best wall time wins).")
   in
-  let run name json domains repeat =
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w ->
-        let o = Workloads.Overhead.measure ~domains ~repeat w in
-        if json then
-          print_endline
-            (Obs.Json_emit.to_string ~pretty:true (Workloads.Overhead.json o))
-        else print_string (Workloads.Overhead.table o);
-        0
+  let run (w : Workloads.Workload.t) json domains repeat =
+    let o = Workloads.Overhead.measure ~domains ~repeat w in
+    if json then
+      print_endline
+        (Obs.Json_emit.to_string ~pretty:true (Workloads.Overhead.json o))
+    else print_string (Workloads.Overhead.table o);
+    0
   in
   Cmd.v
     (Cmd.info "overhead"
@@ -1156,44 +793,39 @@ let autotune_cmd =
       & info [ "svg" ] ~docv:"FILE"
           ~doc:"Write the search tree as a flame-graph SVG to $(docv).")
   in
-  let run name beam depth repeat seed json svg telemetry =
+  let run (w : Workloads.Workload.t) beam depth repeat seed json svg telemetry =
     with_telemetry telemetry @@ fun () ->
-    match find_workload name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok w -> (
-        let config =
-          { Tune.Search.default with
-            Tune.Search.beam;
-            depth;
-            repeat;
-            seed }
-        in
-        let result =
-          Polyprof.autotune ~config ~name:w.Workloads.Workload.w_name
-            w.Workloads.Workload.hir
-        in
-        (match (svg, result) with
-        | Some path, Ok r ->
-            let oc = open_out path in
-            output_string oc (Tune.Tune_report.svg_of r);
-            close_out oc
-        | _ -> ());
-        if json then begin
-          print_endline
-            (Obs.Json_emit.to_string ~pretty:true
-               (Tune.Tune_report.workload_json ~name result));
-          match result with Ok _ -> 0 | Error _ -> 1
-        end
-        else
-          match result with
-          | Error e ->
-              Format.printf "autotune %s: %s@." name e;
-              1
-          | Ok r ->
-              Format.printf "%a@." Tune.Tune_report.render r;
-              0)
+    let config =
+      { Tune.Search.default with
+        Tune.Search.beam;
+        depth;
+        repeat;
+        seed }
+    in
+    let result =
+      Polyprof.autotune ~config ~name:w.Workloads.Workload.w_name
+        w.Workloads.Workload.hir
+    in
+    (match (svg, result) with
+    | Some path, Ok r ->
+        let oc = open_out path in
+        output_string oc (Tune.Tune_report.svg_of r);
+        close_out oc
+    | _ -> ());
+    if json then begin
+      print_endline
+        (Obs.Json_emit.to_string ~pretty:true
+           (Tune.Tune_report.workload_json ~name:w.w_name result));
+      match result with Ok _ -> 0 | Error _ -> 1
+    end
+    else
+      match result with
+      | Error e ->
+          Format.printf "autotune %s: %s@." w.w_name e;
+          1
+      | Ok r ->
+          Format.printf "%a@." Tune.Tune_report.render r;
+          0
   in
   Cmd.v
     (Cmd.info "autotune"

@@ -1033,9 +1033,10 @@ let refine t ~directions (outcomes : Dp.witness_outcome list) =
     outcomes;
   List.sort compare !dirs
 
-let fallback_profile ?(speculate = true) prog ~profile =
+let fallback_profile prog ~structure =
+  let profile plan = Dp.profile ~static_prune:plan prog ~structure in
   let rec go directions reruns =
-    let t = analyse ~speculate ~directions prog in
+    let t = analyse ~speculate:true ~directions prog in
     match profile t.plan with
     | r -> (t, r, reruns)
     | exception Dp.Witness_failure outcomes ->

@@ -133,12 +133,11 @@ val refine :
     guard observed both ways (or failing after a flip) is turned off. *)
 
 val fallback_profile :
-  ?speculate:bool ->
-  Vm.Prog.t ->
-  profile:(Ddg.Depprof.static_plan -> 'a) ->
-  t * 'a * int
-(** Hybrid driver: analyse (speculatively by default), run [profile]
-    on the plan, and on {!Ddg.Depprof.Witness_failure} refine the
+  Vm.Prog.t -> structure:Cfg.Cfg_builder.structure ->
+  t * Ddg.Depprof.result * int
+(** Hybrid driver: analyse speculatively, profile in process under the
+    plan ({!Ddg.Depprof.profile} [~static_prune]), and on
+    {!Ddg.Depprof.Witness_failure} refine the
     speculation directions and deterministically rerun, falling back
     to a non-speculative plan if refinement does not converge.
     Returns the final analysis, the profile result and the number of

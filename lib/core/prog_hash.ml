@@ -79,7 +79,7 @@ let canonical_source (hir : Vm.Hir.program) =
 
 let job_key ~kind ~params hir =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "polyprof-job-v1\n";
+  Buffer.add_string b "polyprof-job-v2\n";
   Buffer.add_string b kind;
   Buffer.add_char b '\n';
   List.iter

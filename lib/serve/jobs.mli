@@ -9,8 +9,9 @@
     bytes are still stable because the cache stores a single execution. *)
 
 val find_workload : string -> (Workloads.Workload.t, string) result
-(** Same namespace as [polyprof list]: mini-Rodinia, [gems_fdtd],
-    PolyBench. *)
+(** {!Workloads.Registry.find}: the names [polyprof list] prints
+    (mini-Rodinia, [gems_fdtd], PolyBench and the seeded [par_*]
+    variants). *)
 
 val job_key : Proto.spec -> (string, string) result
 (** Content address of the job: SHA-256 over the job kind, the sorted

@@ -30,6 +30,13 @@ val record_to_file :
     addresses.  The elision shrinks the trace file — the measured
     benefit of instrumentation pruning on the out-of-core path. *)
 
+val structure : Vm.Prog.t -> string -> Cfg.Cfg_builder.structure
+(** Instrumentation I over a recorded trace: stream the file once
+    through a {!Cfg.Cfg_builder} and return the recovered program
+    structure.  Only control events are read, so an address-elided
+    trace yields the same structure as a full one.
+    @raise Error.Error on a corrupt or truncated trace. *)
+
 val load : string -> Vm.Trace.t * Vm.Interp.stats option
 (** Decode a trace file into memory.
     @raise Error.Error on bad magic/version, truncation or corruption. *)

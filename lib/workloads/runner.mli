@@ -25,24 +25,14 @@ val sched_budget : int
     paper's scheduler memory exhaustion by exceeding it). *)
 
 val run :
-  ?budget:int -> ?crosscheck:bool -> ?xverify:bool -> ?out_of_core:int ->
-  ?static_prune:bool -> Workload.t -> outcome
-(** [out_of_core = Some domains] records the execution to a temporary
-    binary trace file and replays both instrumentation stages from it,
-    Instrumentation II sharded over [domains] workers
-    ({!Stream.Par_profile}); the profile is identical to the default
-    in-process run.
-
-    [static_prune] runs {!Analysis.Statdep} first and profiles under
-    its instrumentation-pruning plan: statically-resolved accesses skip
-    shadow tracking (and, on the out-of-core path, their addresses are
-    elided from the trace file; sharding is then replaced by a
-    sequential replay, as pruning is sequential-only).  The profile is
+  ?budget:int -> ?crosscheck:bool -> ?xverify:bool -> ?static_prune:bool ->
+  Workload.t -> outcome
+(** [static_prune] runs {!Analysis.Statdep} first and profiles under
+    its instrumentation-pruning plan ({!Analysis.Statdep.fallback_profile}):
+    statically-resolved accesses skip shadow tracking.  The profile is
     asserted identical to the unpruned one by construction. *)
 
-val run_all :
-  ?budget:int -> ?crosscheck:bool -> ?xverify:bool -> unit ->
-  (Workload.t * outcome) list
+val run_all : ?xverify:bool -> unit -> (Workload.t * outcome) list
 (** All 19 mini-Rodinia benchmarks, in Table 5 order. *)
 
 val table5 : (Workload.t * outcome) list -> string

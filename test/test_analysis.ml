@@ -519,8 +519,7 @@ let profile_speculative w =
   let structure = Cfg.Cfg_builder.run prog in
   let full = Ddg.Depprof.profile prog ~structure in
   let sd, pruned, reruns =
-    Analysis.Statdep.fallback_profile prog ~profile:(fun plan ->
-        Ddg.Depprof.profile ~static_prune:plan prog ~structure)
+    Analysis.Statdep.fallback_profile prog ~structure
   in
   (sd, full, pruned, reruns)
 
@@ -709,11 +708,7 @@ let test_triangular_fixed_seeds () =
     [ 2; 11; 42; 777; 31337 ]
 
 let test_prune_equal_all_workloads () =
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all
-  in
+  let ws = Workloads.Registry.suite in
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let prog = H.lower w.Workloads.Workload.hir in
@@ -900,11 +895,7 @@ let prop_seeded_race_never_certifies =
 (* ---------------- whole-workload sweep ---------------- *)
 
 let test_sweep_all_workloads () =
-  let ws =
-    Workloads.Rodinia.all
-    @ [ Workloads.Gems_fdtd.workload ]
-    @ Workloads.Polybench.all
-  in
+  let ws = Workloads.Registry.suite in
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let e =

@@ -17,7 +17,27 @@ let test_registry () =
     [ "backprop"; "bfs"; "b+tree"; "cfd"; "heartwall"; "hotspot"; "hotspot3D";
       "kmeans"; "lavaMD"; "leukocyte"; "lud"; "myocyte"; "nn"; "nw";
       "particlefilter"; "pathfinder"; "srad_v1"; "srad_v2"; "streamcluster" ]
-    Workloads.Rodinia.names
+    Workloads.Rodinia.names;
+  (* the one namespace: every listed name resolves to itself, the
+     seeded parcheck variants included, and the unknown-name hint
+     offers exactly the listed names *)
+  let module Reg = Workloads.Registry in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " resolves") true
+        (match Reg.find name with Ok w -> w.w_name = name | Error _ -> false))
+    Reg.names;
+  Alcotest.(check bool) "seeded variants listed" true
+    (List.for_all
+       (fun n -> List.mem n Reg.names)
+       [ "par_racy"; "par_reduction"; "par_private" ]);
+  match Reg.find "nonesuch" with
+  | Ok _ -> Alcotest.fail "unknown name resolved"
+  | Error e ->
+      Alcotest.(check string) "hint names every workload"
+        (Printf.sprintf "unknown benchmark nonesuch (try: %s)"
+           (String.concat ", " Reg.names))
+        e
 
 let test_every_workload_has_paper_row () =
   List.iter

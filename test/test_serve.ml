@@ -9,6 +9,8 @@
      executor fails its job, the pool survives); queued-deadline
      expiry; backpressure beyond queue_capacity; graceful shutdown
      drains the queue;
+   - Jobs: a parcheck job's report embeds exactly the object
+     [polyprof parcheck W --json] prints;
    - Http: request round-trip including query strings and bodies;
    - end-to-end: daemon on a Unix socket in a temp dir, submit twice
      via the client, second response is a cache hit with byte-identical
@@ -80,6 +82,29 @@ let test_job_key () =
   check sb "program matters" true
     (key ~kind:"profile" ~params:[] g <> key ~kind:"profile" ~params:[] a);
   check si "key length" 64 (String.length (key ~kind:"profile" ~params:[] g))
+
+(* --- Jobs ---------------------------------------------------------- *)
+
+let test_parcheck_job_matches_cli () =
+  List.iter
+    (fun name ->
+      let w =
+        match Serve.Jobs.find_workload name with
+        | Ok w -> w
+        | Error e -> Alcotest.fail e
+      in
+      let x = Serve.Jobs.execute (P.spec ~kind:P.Parcheck ~bench:name ()) in
+      let cli =
+        Workloads.Parcheck_driver.to_json (Workloads.Parcheck_driver.run w)
+      in
+      match J.parse x.E.x_report with
+      | Error e -> Alcotest.failf "%s: report does not parse: %s" name e
+      | Ok doc ->
+          let member = Option.value ~default:J.Null (J.member "parcheck" doc) in
+          check ss
+            (name ^ ": parcheck member = polyprof parcheck --json")
+            (J.to_string cli) (J.to_string member))
+    [ "par_racy"; "atax" ]
 
 (* --- Proto --------------------------------------------------------- *)
 
@@ -563,6 +588,9 @@ let () =
           Alcotest.test_case "job key" `Quick test_job_key ] );
       ( "proto",
         [ Alcotest.test_case "spec round-trip" `Quick test_proto_roundtrip ] );
+      ( "jobs",
+        [ Alcotest.test_case "parcheck report = CLI JSON" `Quick
+            test_parcheck_job_matches_cli ] );
       ( "cache",
         [ Alcotest.test_case "lru eviction" `Quick test_cache_lru;
           Alcotest.test_case "persistence + corruption" `Quick

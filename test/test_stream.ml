@@ -1,7 +1,8 @@
 (* Tests for lib/stream: varint/zigzag extremes, qcheck round-trip of
    the binary codec over random event streams, framing/corruption
-   rejection with the typed [Stream.Error], and the domain-sharded
-   profiler's bit-identity with the sequential profiler. *)
+   rejection with the typed [Stream.Error], the domain-sharded
+   profiler's bit-identity with the sequential profiler, and the replay
+   of an address-elided trace under a static-pruning plan. *)
 
 module H = Vm.Hir
 
@@ -345,6 +346,42 @@ let test_out_of_core_pipeline () =
     = 0);
   Alcotest.(check int) "4 domains" 4 par_stats.Stream.Par_profile.domains
 
+(* out-of-core elision composes with static pruning: a trace recorded
+   without the addresses of the non-speculative plan's pruned accesses,
+   replayed under that plan, rebuilds exactly the unpruned profile *)
+let test_elided_replay_pruned () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      with_temp @@ fun path ->
+      let prog = Vm.Hir.lower w.hir in
+      let plan = (Analysis.Statdep.analyse prog).Analysis.Statdep.plan in
+      let full_bytes =
+        (Stream.Trace_file.record_to_file prog path).Stream.Trace_file.wi_bytes
+      in
+      let wi =
+        Stream.Trace_file.record_to_file
+          ~elide:(Hashtbl.mem plan.Ddg.Depprof.sp_resolved)
+          prog path
+      in
+      Alcotest.(check bool)
+        (w.w_name ^ ": addresses elided") true
+        (wi.Stream.Trace_file.wi_bytes < full_bytes);
+      let full =
+        Ddg.Depprof.profile prog ~structure:(Cfg.Cfg_builder.run prog)
+      in
+      let structure = Stream.Trace_file.structure prog path in
+      let pruned =
+        Stream.Source.with_file path (fun src ->
+            Ddg.Depprof.profile_replay ~static_prune:plan
+              ~feed:(fun cb -> Stream.Source.replay src cb)
+              ~run_stats:wi.Stream.Trace_file.wi_stats prog ~structure)
+      in
+      Alcotest.(check bool)
+        (w.w_name ^ ": pruned replay identical to unpruned profile")
+        true
+        (Ddg.Depprof.equal_result full pruned))
+    [ Workloads.Polybench.trisolv; Workloads.Polybench.gemm ]
+
 let () =
   Alcotest.run "stream"
     [ ( "varint",
@@ -370,4 +407,6 @@ let () =
           Alcotest.test_case "out-of-core pipeline" `Quick
             test_out_of_core_pipeline;
           Alcotest.test_case "3 domains = sequential, whole suite" `Slow
-            test_par_equals_seq_suite ] ) ]
+            test_par_equals_seq_suite;
+          Alcotest.test_case "elided trace + pruned replay" `Quick
+            test_elided_replay_pruned ] ) ]
