@@ -24,7 +24,8 @@ bench-record:
 	dune exec bench/main.exe -- --json --record
 
 # quick end-to-end check of the out-of-core path: record, decode,
-# profile with 2 domains
+# profile sequentially and with 2 domains (exits nonzero if the two
+# profiles differ)
 stream-smoke:
 	dune exec bin/polyprof_cli.exe -- trace stats backprop --domains 2
 
@@ -86,17 +87,19 @@ parcheck-smoke:
 	test "$$races" = 0 && test "$$sound" = true \
 	  || { echo "FAIL: sanitizer race on a certified dim"; exit 1; }
 
-# lint regression gate: the sorted-unique (workload, diagnostic code)
-# pairs from `polyprof lint --json` must not grow beyond the checked-in
-# baseline (fixing a warning is fine; introducing a new one fails)
+# the sorted-unique (workload, diagnostic code) pairs of
+# `polyprof lint --json`: in its compact JSON every "code" belongs to the
+# workload "name" before it
+LINT_PAIRS = dune exec bin/polyprof_cli.exe -- lint --json 2>/dev/null \
+	  | grep -o '"\(name\|code\)":"[^"]*"' \
+	  | awk -F'"' '$$2 == "name" { name = $$4 } $$2 == "code" { print name, $$4 }' \
+	  | sort -u
+
+# lint regression gate: the (workload, diagnostic code) pairs must not
+# grow beyond the checked-in baseline (fixing a warning is fine;
+# introducing a new one fails)
 lint-gate:
-	@dune exec bin/polyprof_cli.exe -- lint --json 2>/dev/null \
-	  | awk '{ if (match($$0, /"name": "[^"]*"/)) { \
-	      name = substr($$0, RSTART+9, RLENGTH-10); s = $$0; \
-	      while (match(s, /"code": "[^"]*"/)) { \
-	        print name, substr(s, RSTART+9, RLENGTH-10); \
-	        s = substr(s, RSTART+RLENGTH); } } }' \
-	  | sort -u > lint_current.txt; \
+	@$(LINT_PAIRS) > lint_current.txt; \
 	new=$$(comm -13 test/lint_baseline.txt lint_current.txt); \
 	if [ -n "$$new" ]; then \
 	  echo "FAIL: new lint diagnostics not in test/lint_baseline.txt:"; \
@@ -109,13 +112,7 @@ lint-gate:
 
 # regenerate the baseline after intentionally changing lint output
 lint-baseline:
-	@dune exec bin/polyprof_cli.exe -- lint --json 2>/dev/null \
-	  | awk '{ if (match($$0, /"name": "[^"]*"/)) { \
-	      name = substr($$0, RSTART+9, RLENGTH-10); s = $$0; \
-	      while (match(s, /"code": "[^"]*"/)) { \
-	        print name, substr(s, RSTART+9, RLENGTH-10); \
-	        s = substr(s, RSTART+RLENGTH); } } }' \
-	  | sort -u > test/lint_baseline.txt; \
+	@$(LINT_PAIRS) > test/lint_baseline.txt; \
 	echo "wrote test/lint_baseline.txt" \
 	  "($$(wc -l < test/lint_baseline.txt) pairs)"
 

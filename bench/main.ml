@@ -89,86 +89,51 @@ let tables_1_and_2 () =
   let prog = Vm.Hir.lower fig6_hir in
   let structure = Cfg.Cfg_builder.run prog in
   let kernel_fid = (Vm.Prog.func_by_name prog "bpnn_layerforward").Vm.Prog.fid in
-  (* Table 1: tap the raw dependence stream with a bespoke pass built
-     from the public Instrumentation-II pieces *)
-  let iiv = Ddg.Iiv.create () in
-  let levents = Ddg.Loop_events.create structure ~main:prog.Vm.Prog.main in
-  let shadow = Ddg.Shadow.create () in
-  let samples : (string, (int array * int array) list ref) Hashtbl.t =
-    Hashtbl.create 16
+  (* Table 1: the raw dependence stream, as the profiler buffers it
+     before folding: the edges of one unsharded worker, between kernel
+     statements at depth 2, grouped by instruction pair and put back in
+     execution order *)
+  let part =
+    Ddg.Depprof.Sharded.worker ~shard:0 ~nshards:1
+      ~feed:(fun callbacks -> ignore (Vm.Interp.run ~callbacks prog))
+      prog ~structure
   in
-  List.iter (fun e -> Ddg.Iiv.update iiv e) (Ddg.Loop_events.start levents);
-  let on_control ev =
-    (match ev with
-    | Vm.Event.Call _ -> Ddg.Shadow.push_frame shadow
-    | Vm.Event.Return _ -> Ddg.Shadow.pop_frame shadow
-    | Vm.Event.Jump _ -> ());
-    List.iter (fun e -> Ddg.Iiv.update iiv e) (Ddg.Loop_events.feed levents ev)
+  let in_kernel sid = Vm.Isa.Sid.fid sid = kernel_fid in
+  let at_depth_2 (p : Ddg.Depprof.dep_point) =
+    Array.length p.p_coords = 2 && Array.length p.p_lab = 2
   in
-  let on_exec (e : Vm.Event.exec) =
-    let coords = Ddg.Iiv.coords iiv in
-    let ctx = Ddg.Iiv.context_id iiv in
-    let record (o : Ddg.Shadow.origin) =
-      if
-        Vm.Isa.Sid.fid e.sid = kernel_fid
-        && Vm.Isa.Sid.fid o.o_sid = kernel_fid
-        && Array.length o.o_coords = 2
-        && Array.length coords = 2
-      then begin
+  let samples = Hashtbl.create 16 in
+  List.iter
+    (fun ((k : Ddg.Depprof.dep_key), pts) ->
+      let pts = List.filter at_depth_2 (Array.to_list pts) in
+      if in_kernel k.src_sid && in_kernel k.dst_sid && pts <> [] then begin
         let key =
           Printf.sprintf "I%d -> I%d"
-            (Vm.Isa.Sid.idx o.o_sid + 1)
-            (Vm.Isa.Sid.idx e.sid + 1)
+            (Vm.Isa.Sid.idx k.src_sid + 1)
+            (Vm.Isa.Sid.idx k.dst_sid + 1)
         in
-        let cell =
-          match Hashtbl.find_opt samples key with
-          | Some r -> r
-          | None ->
-              let r = ref [] in
-              Hashtbl.add samples key r;
-              r
-        in
-        cell := (coords, o.o_coords) :: !cell
-      end
-    in
-    List.iter
-      (fun reg ->
-        match Ddg.Shadow.last_reg_writer shadow ~reg with
-        | Some o -> record o
-        | None -> ())
-      e.reads;
-    (match e.addr_read with
-    | Some addr -> (
-        match Ddg.Shadow.last_mem_writer shadow ~addr with
-        | Some o -> record o
-        | None -> ())
-    | None -> ());
-    (match e.addr_written with
-    | Some addr ->
-        Ddg.Shadow.write_mem shadow ~addr
-          { o_sid = e.sid; o_ctx = ctx; o_coords = coords }
-    | None -> ());
-    match e.writes with
-    | Some reg ->
-        Ddg.Shadow.write_reg shadow ~reg
-          { o_sid = e.sid; o_ctx = ctx; o_coords = coords }
-    | None -> ()
-  in
-  let (_ : Vm.Interp.stats) =
-    Vm.Interp.run ~callbacks:{ Vm.Interp.on_control; on_exec } prog
-  in
+        let prev = Option.value ~default:[] (Hashtbl.find_opt samples key) in
+        Hashtbl.replace samples key (pts @ prev)
+      end)
+    part.Ddg.Depprof.Sharded.pt_recs;
   Format.printf
     "Table 1 (input dependency stream; first samples per dependence):@.";
   let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) samples []) in
   List.iter
     (fun key ->
-      let all = List.rev !(Hashtbl.find samples key) in
+      let all =
+        List.sort
+          (fun (a : Ddg.Depprof.dep_point) (b : Ddg.Depprof.dep_point) ->
+            compare (a.p_seq, a.p_slot) (b.p_seq, b.p_slot))
+          (Hashtbl.find samples key)
+      in
       Format.printf "  %s   (%d dynamic edges)@." key (List.length all);
       List.iteri
-        (fun k (c, p) ->
+        (fun k (p : Ddg.Depprof.dep_point) ->
           if k < 3 then
             Format.printf "    (cj,ck) = %s   <- (cj',ck') = %s@."
-              (Pp_util.Vecint.to_string c) (Pp_util.Vecint.to_string p))
+              (Pp_util.Vecint.to_string p.p_coords)
+              (Pp_util.Vecint.to_string p.p_lab))
         all)
     keys;
   (* Table 2: the folded output, straight from the pipeline *)
@@ -390,25 +355,23 @@ let perf () =
 
 let overhead () =
   section "Section 8: profiling overhead (paper: 3h06' CPU for the suite)";
-  let total_plain = ref 0.0 and total_prof = ref 0.0 in
-  List.iter
-    (fun (w : Workloads.Workload.t) ->
-      let prog = Vm.Hir.lower w.hir in
-      let t0 = Obs.Clock.monotonic () in
-      let (_ : Vm.Interp.stats) = Vm.Interp.run prog in
-      let t1 = Obs.Clock.monotonic () in
-      let structure = Cfg.Cfg_builder.run prog in
-      let (_ : Ddg.Depprof.result) = Ddg.Depprof.profile prog ~structure in
-      let t2 = Obs.Clock.monotonic () in
-      total_plain := !total_plain +. (t1 -. t0);
-      total_prof := !total_prof +. (t2 -. t1))
-    Workloads.Rodinia.all;
+  let module O = Workloads.Overhead in
+  let os = List.map (O.measure ~repeat:1) Workloads.Rodinia.all in
+  let total mode =
+    List.fold_left
+      (fun acc (o : O.t) ->
+        acc
+        +. (List.find (fun (r : O.row) -> r.O.r_mode = mode) o.O.o_rows)
+             .O.r_seconds)
+      0. os
+  in
+  let total_plain = total "native" and total_prof = total "instrumented" in
   Format.printf
     "uninstrumented MiniVM execution of the suite: %.2fs@.\
      instrumentation I+II (CFG recovery + DDG profiling + folding): %.2fs@.\
      slowdown factor: %.1fx@."
-    !total_plain !total_prof
-    (!total_prof /. (max 1e-9 !total_plain))
+    total_plain total_prof
+    (total_prof /. max 1e-9 total_plain)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5a: schedule tree vs calling-context tree                       *)
@@ -526,118 +489,25 @@ let emit_bench name doc =
     Format.printf "recorded %s into bench/history/%s.jsonl@." name name
   end
 
-type stream_row = {
-  sr_name : string;
-  sr_events : int;
-  sr_disk_bytes : int;
-  sr_marshal_bytes : int;
-  sr_enc_s : float;
-  sr_dec_s : float;
-  sr_seq_s : float;
-  sr_par_s : float;
-  sr_replay_s : float;
-  sr_merge_s : float;
-  sr_peak_shadow : int array;
-  sr_domain_events : int array;
-  sr_identical : bool;
-}
-
 let stream_bench () =
   let domains = 4 in
   section
     (Printf.sprintf
        "lib/stream: binary trace codec + %d-domain sharded profiling" domains);
-  let now = Obs.Clock.monotonic in
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        let prog = Vm.Hir.lower w.hir in
-        let path = Filename.temp_file "polyprof" ".trace" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        @@ fun () ->
-        let trace, stats = Vm.Trace.record prog in
-        let marshal_bytes = String.length (Marshal.to_string trace []) in
-        let t0 = now () in
-        let disk_bytes = Stream.Trace_file.save ~stats trace path in
-        let t_enc = now () -. t0 in
-        let t0 = now () in
-        Stream.Source.with_file path (fun src ->
-            Stream.Source.iter src ignore);
-        let t_dec = now () -. t0 in
-        let structure = Stream.Trace_file.structure prog path in
-        let t0 = now () in
-        let seq =
-          Ddg.Depprof.profile_replay
-            ~feed:(fun cb ->
-              Stream.Source.with_file path (fun src ->
-                  Stream.Source.replay src cb))
-            ~run_stats:stats prog ~structure
-        in
-        let t_seq = now () -. t0 in
-        let t0 = now () in
-        let par =
-          Stream.Par_profile.profile_file ~domains path prog ~structure
-        in
-        let t_par = now () -. t0 in
-        let p = par.Stream.Par_profile.result in
-        let identical =
-          (seq.Ddg.Depprof.stmts, seq.deps, seq.pruned_dep_edges,
-           seq.total_dep_edges, seq.run_stats)
-          = (p.Ddg.Depprof.stmts, p.deps, p.pruned_dep_edges,
-             p.total_dep_edges, p.run_stats)
-        in
-        { sr_name = w.w_name;
-          sr_events = Vm.Trace.n_events trace;
-          sr_disk_bytes = disk_bytes;
-          sr_marshal_bytes = marshal_bytes;
-          sr_enc_s = t_enc;
-          sr_dec_s = t_dec;
-          sr_seq_s = t_seq;
-          sr_par_s = t_par;
-          sr_replay_s = par.par_stats.Stream.Par_profile.replay_seconds;
-          sr_merge_s = par.par_stats.Stream.Par_profile.merge_seconds;
-          sr_peak_shadow = par.par_stats.Stream.Par_profile.per_domain_peak_shadow;
-          sr_domain_events = par.par_stats.Stream.Par_profile.per_domain_events;
-          sr_identical = identical })
-      Workloads.Registry.suite
-  in
-  let mbs bytes s = float_of_int bytes /. (s +. 1e-9) /. (1024. *. 1024.) in
-  let header =
-    [ "benchmark"; "events"; "disk KB"; "marshal KB"; "ratio"; "enc MB/s";
-      "dec MB/s"; "seq s"; Printf.sprintf "par(%d) s" domains; "speedup";
-      "same" ]
-  in
-  let table =
-    List.map
-      (fun r ->
-        [ r.sr_name;
-          string_of_int r.sr_events;
-          string_of_int (r.sr_disk_bytes / 1024);
-          string_of_int (r.sr_marshal_bytes / 1024);
-          Printf.sprintf "%.1fx"
-            (float_of_int r.sr_marshal_bytes
-            /. float_of_int (max 1 r.sr_disk_bytes));
-          Printf.sprintf "%.1f" (mbs r.sr_disk_bytes r.sr_enc_s);
-          Printf.sprintf "%.1f" (mbs r.sr_disk_bytes r.sr_dec_s);
-          Printf.sprintf "%.3f" r.sr_seq_s;
-          Printf.sprintf "%.3f" r.sr_par_s;
-          Printf.sprintf "%.2fx" (r.sr_seq_s /. (r.sr_par_s +. 1e-9));
-          (if r.sr_identical then "Y" else "N!") ])
-      rows
-  in
-  print_string (Report.Texttable.render ~header table);
+  let module D = Workloads.Stream_driver in
+  let rows = List.map (D.run ~domains) Workloads.Registry.suite in
+  print_string (D.table rows);
   let totals f = List.fold_left (fun a r -> a + f r) 0 rows in
   let cores = Domain.recommended_domain_count () in
   Format.printf
     "@.suite: %d events, %d KB on disk vs %d KB marshalled (%.1fx), all \
      results identical: %b@."
-    (totals (fun r -> r.sr_events))
-    (totals (fun r -> r.sr_disk_bytes) / 1024)
-    (totals (fun r -> r.sr_marshal_bytes) / 1024)
-    (float_of_int (totals (fun r -> r.sr_marshal_bytes))
-    /. float_of_int (max 1 (totals (fun r -> r.sr_disk_bytes))))
-    (List.for_all (fun r -> r.sr_identical) rows);
+    (totals (fun r -> r.D.events))
+    (totals (fun r -> r.D.disk_bytes) / 1024)
+    (totals (fun r -> r.D.marshal_bytes) / 1024)
+    (float_of_int (totals (fun r -> r.D.marshal_bytes))
+    /. float_of_int (max 1 (totals (fun r -> r.D.disk_bytes))))
+    (List.for_all D.sound rows);
   if cores < domains then
     Format.printf
       "note: host has %d hardware thread(s) < %d domains -- the parallel \
@@ -647,39 +517,13 @@ let stream_bench () =
       cores domains domains domains;
   if !json_out then begin
     let open Obs.Json_emit in
-    let ints a = List (Array.to_list (Array.map (fun i -> Int i) a)) in
-    let doc =
-      Obj
-        (schema_header ~schema_version:Obs.Schemas.stream
-        @ [ ("domains", Int domains);
-            ("time_sliced", Bool (cores < domains));
-            ("chunk_bytes", Int Stream.Sink.default_chunk_bytes);
-            ( "workloads",
-              List
-                (List.map
-                   (fun r ->
-                     Obj
-                       [ ("name", Str r.sr_name);
-                         ("events", Int r.sr_events);
-                         ("disk_bytes", Int r.sr_disk_bytes);
-                         ("marshal_bytes", Int r.sr_marshal_bytes);
-                         ( "compression",
-                           Float
-                             (float_of_int r.sr_marshal_bytes
-                             /. float_of_int (max 1 r.sr_disk_bytes)) );
-                         ("encode_mb_s", Float (mbs r.sr_disk_bytes r.sr_enc_s));
-                         ("decode_mb_s", Float (mbs r.sr_disk_bytes r.sr_dec_s));
-                         ("seq_seconds", Float r.sr_seq_s);
-                         ("par_seconds", Float r.sr_par_s);
-                         ("speedup", Float (r.sr_seq_s /. (r.sr_par_s +. 1e-9)));
-                         ("replay_seconds", Float r.sr_replay_s);
-                         ("merge_seconds", Float r.sr_merge_s);
-                         ("domain_events", ints r.sr_domain_events);
-                         ("peak_shadow", ints r.sr_peak_shadow);
-                         ("identical", Bool r.sr_identical) ])
-                   rows) ) ])
-    in
-    emit_bench "stream" doc
+    emit_bench "stream"
+      (Obj
+         (schema_header ~schema_version:Obs.Schemas.stream
+         @ [ ("domains", Int domains);
+             ("time_sliced", Bool (cores < domains));
+             ("chunk_bytes", Int Stream.Sink.default_chunk_bytes);
+             ("workloads", List (List.map D.to_json rows)) ]))
   end
 
 (* ------------------------------------------------------------------ *)

@@ -141,7 +141,7 @@ let redundant_load (prog : Vm.Prog.t) =
    Fixing that single class of blocker would make the whole region
    statically prunable.  Opt-in (the CLI lint command): the static
    engine run is not free, and the warning is advisory, so it is not
-   part of {!static_entry} (whose warnings the sweep test pins at 0). *)
+   part of {!static_entry}. *)
 let almost_affine (prog : Vm.Prog.t) =
   let sd = Statdep.analyse prog in
   let unres = Hashtbl.create 16 in
@@ -183,9 +183,6 @@ let almost_affine (prog : Vm.Prog.t) =
       end)
     blockers;
   List.sort Diag.compare !diags
-
-let with_almost_affine e prog =
-  { e with e_diags = List.sort Diag.compare (e.e_diags @ almost_affine prog) }
 
 (* Parallelism advisories from the certifier (opt-in, like
    {!almost_affine}: runs the static dependence engine).  One warning
@@ -247,9 +244,6 @@ let parallelism (prog : Vm.Prog.t) =
   in
   List.sort Diag.compare diags
 
-let with_parallelism e prog =
-  { e with e_diags = List.sort Diag.compare (e.e_diags @ parallelism prog) }
-
 let static_entry name (prog : Vm.Prog.t) =
   let diags =
     List.sort Diag.compare
@@ -276,26 +270,19 @@ let static_entry name (prog : Vm.Prog.t) =
     e_ranged = !ranged;
     e_xcheck = None }
 
-let analyse ?(name = "<prog>") prog =
+let run ~name prog =
   Obs.Span.with_ ~cat:"analysis" "analysis.lint" @@ fun () ->
-  static_entry name prog
-
-let crosschecked e prog profile =
-  { e with e_xcheck = Some (Crosscheck.check prog profile) }
-
-let analyse_profiled ?(name = "<prog>") ?max_steps ?args prog =
   let e = static_entry name prog in
   (* only execute programs the verifier accepts *)
-  if List.exists Diag.is_error e.e_diags then e
-  else
-    let structure = Cfg.Cfg_builder.run ?max_steps ?args prog in
-    let profile = Ddg.Depprof.profile ?max_steps ?args prog ~structure in
-    crosschecked e prog profile
-
-let of_hir ?name ?(profile = true) ?max_steps ?args hir =
-  let prog = Vm.Hir.lower hir in
-  if profile then analyse_profiled ?name ?max_steps ?args prog
-  else analyse ?name prog
+  let e =
+    if List.exists Diag.is_error e.e_diags then e
+    else
+      let structure = Cfg.Cfg_builder.run prog in
+      let profile = Ddg.Depprof.profile prog ~structure in
+      { e with e_xcheck = Some (Crosscheck.check prog profile) }
+  in
+  let advisories = almost_affine prog @ parallelism prog in
+  { e with e_diags = List.sort Diag.compare (e.e_diags @ advisories) }
 
 let errors e =
   List.filter Diag.is_error e.e_diags
@@ -325,6 +312,47 @@ let to_row e =
   @ [ (if passed e then "ok" else "FAIL") ]
 
 let table entries = Report.Texttable.render ~header (List.map to_row entries)
+
+let to_json e =
+  let open Obs.Json_emit in
+  let c sev = Int (Diag.count sev e.e_diags) in
+  let xcheck (r : Crosscheck.report) =
+    Obj
+      [ ("facts", Int r.Crosscheck.facts);
+        ("checked_edges", Int r.Crosscheck.checked_edges);
+        ("skipped_edges", Int r.Crosscheck.skipped_edges);
+        ("skip_norange", Int r.Crosscheck.skip_norange);
+        ("skip_crossfn", Int r.Crosscheck.skip_crossfn);
+        ("poly_pairs", Int r.Crosscheck.poly_pairs);
+        ("poly_checked", Int r.Crosscheck.poly_checked);
+        ("sim_must", Int r.Crosscheck.sim_must);
+        ("sim_may", Int r.Crosscheck.sim_may);
+        ("sim_skipped", Bool r.Crosscheck.sim_skipped);
+        ("violations", Int (List.length r.Crosscheck.violations)) ]
+  in
+  let diag (d : Diag.t) =
+    Obj
+      [ ( "severity",
+          Str
+            (match d.Diag.severity with
+            | Diag.Error -> "error"
+            | Diag.Warning -> "warning"
+            | Diag.Info -> "info") );
+        ("code", Str d.Diag.code);
+        ("fid", Int d.Diag.fid);
+        ("message", Str d.Diag.message) ]
+  in
+  Obj
+    [ ("name", Str e.e_name);
+      ("errors", c Diag.Error);
+      ("warnings", c Diag.Warning);
+      ("infos", c Diag.Info);
+      ("accesses", Int e.e_accesses);
+      ("affine", Int e.e_affine);
+      ("ranged", Int e.e_ranged);
+      ("passed", Bool (passed e));
+      ("crosscheck", match e.e_xcheck with Some r -> xcheck r | None -> Null);
+      ("diags", List (List.map diag e.e_diags)) ]
 
 let pp_entry ?prog () fmt e =
   Format.fprintf fmt "%s: %d accesses (%d affine, %d ranged), lint %s"

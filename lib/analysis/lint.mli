@@ -1,6 +1,6 @@
 (** Front door of the static-analysis layer: run every pass over one
-    program and aggregate the results, for the [polyprof_cli lint]
-    subcommand, the runner integration and the test sweep.
+    program and aggregate the results, for the [polyprof lint]
+    subcommand and the test sweep.
 
     The gate ({!passed}) is: no [Error]-severity diagnostic from the
     verifier and no cross-check violation.  Warnings (dead stores,
@@ -16,7 +16,8 @@ type entry = {
   e_affine : int;  (** of which classified affine *)
   e_ranged : int;  (** of which carrying a provable address interval *)
   e_xcheck : Crosscheck.report option;
-      (** [None] when the program was not executed *)
+      (** [None] when the verifier rejected the program, which is then
+          not executed *)
 }
 
 val deadcode : Vm.Prog.t -> Diag.t list
@@ -33,47 +34,23 @@ val almost_affine : Vm.Prog.t -> Diag.t list
 (** [W-almost-affine]: a memory region that just misses the static
     dependence engine's prunable set — every unresolved access that may
     touch it is blocked for one and the same {!Statdep.reason}, named in
-    the message.  Opt-in (not part of {!analyse}): runs {!Statdep} and
-    is advisory. *)
-
-val with_almost_affine : entry -> Vm.Prog.t -> entry
-(** Append the {!almost_affine} diagnostics to an entry (for the CLI
-    lint command). *)
+    the message.  Advisory: runs {!Statdep}. *)
 
 val parallelism : Vm.Prog.t -> Diag.t list
 (** Parallelism advisories from the certifier ({!Parcheck}), one per
     chain dimension: [W-race] (provably racy, with a concrete witness
     pair), [W-privatizable] (parallel only with named regions
     privatized per-thread), [W-reduction] (parallel only as a
-    reduction).  Opt-in (not part of {!analyse}): runs the static
-    dependence engine and is advisory. *)
+    reduction).  Advisory: runs the static dependence engine. *)
 
-val with_parallelism : entry -> Vm.Prog.t -> entry
-(** Append the {!parallelism} diagnostics to an entry. *)
-
-val analyse : ?name:string -> Vm.Prog.t -> entry
-(** Static passes only (no execution, no cross-check), including
-    {!deadcode} and {!redundant_load}. *)
-
-val crosschecked : entry -> Vm.Prog.t -> Ddg.Depprof.result -> entry
-(** Attach the cross-check of an already-computed profile (for callers
-    that have one, like the workload runner). *)
-
-val analyse_profiled :
-  ?name:string -> ?max_steps:int -> ?args:int list -> Vm.Prog.t -> entry
-(** Static passes plus the dynamic cross-check: runs the program under
-    Instrumentation I ({!Cfg.Cfg_builder.run}) then II
-    ({!Ddg.Depprof.profile}) and checks the DDG against the static
-    independence facts. *)
-
-val of_hir :
-  ?name:string ->
-  ?profile:bool ->
-  ?max_steps:int ->
-  ?args:int list ->
-  Vm.Hir.program ->
-  entry
-(** Lower and analyse; [profile] (default [true]) adds the cross-check. *)
+val run : name:string -> Vm.Prog.t -> entry
+(** The whole lint of [polyprof lint]: the static passes (verifier,
+    definite-init, liveness, {!deadcode}, {!redundant_load}, affine
+    classification); if the verifier accepts the program, the dynamic
+    cross-check, which runs it under Instrumentation I
+    ({!Cfg.Cfg_builder.run}) then II ({!Ddg.Depprof.profile}) and
+    checks the DDG against the static independence facts; and the
+    {!almost_affine} and {!parallelism} advisories. *)
 
 val errors : entry -> Diag.t list
 (** Verifier errors plus cross-check violations. *)
@@ -84,6 +61,11 @@ val header : string list
 val to_row : entry -> string list
 val table : entry list -> string
 (** {!Report.Texttable} over {!header}/{!to_row}. *)
+
+val to_json : entry -> Obs.Json_emit.t
+(** The [polyprof lint W --json] object: diagnostic counts, access
+    classification, the cross-check counters ([null] when it did not
+    run) and every diagnostic. *)
 
 val pp_entry : ?prog:Vm.Prog.t -> unit -> Format.formatter -> entry -> unit
 (** The table row's data in long form, followed by every diagnostic. *)

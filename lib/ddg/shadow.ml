@@ -22,5 +22,4 @@ let pop_frame t =
 let top t = match t.frames with f :: _ -> f | [] -> assert false
 let write_reg t ~reg origin = Hashtbl.replace (top t) reg origin
 let last_reg_writer t ~reg = Hashtbl.find_opt (top t) reg
-let frame_depth t = List.length t.frames
 let n_shadowed_words t = Hashtbl.length t.mem

@@ -24,5 +24,4 @@ val push_frame : t -> unit
 val pop_frame : t -> unit
 val write_reg : t -> reg:int -> origin -> unit
 val last_reg_writer : t -> reg:int -> origin option
-val frame_depth : t -> int
 val n_shadowed_words : t -> int

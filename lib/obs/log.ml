@@ -43,14 +43,6 @@ let set_level = function
   | None -> Atomic.set threshold off_rank
   | Some l -> Atomic.set threshold (level_rank l)
 
-let current_level () =
-  match Atomic.get threshold with
-  | 0 -> Some Debug
-  | 1 -> Some Info
-  | 2 -> Some Warn
-  | 3 -> Some Error
-  | _ -> None
-
 let enabled l = level_rank l >= Atomic.get threshold
 
 (* ------------------------------------------------------------------ *)
@@ -118,14 +110,13 @@ end
    at quiesce points (daemon accept loop, after Domain.join in tests). *)
 (* ------------------------------------------------------------------ *)
 
-let default_capacity = Atomic.make 4096
-let set_capacity n = Atomic.set default_capacity (max 1 n)
+let default_capacity = 4096
 
 let rings_mutex = Mutex.create ()
 let rings : Ring.t list ref = ref []
 
 let new_ring () =
-  let r = Ring.create ~capacity:(Atomic.get default_capacity) in
+  let r = Ring.create ~capacity:default_capacity in
   Mutex.protect rings_mutex (fun () -> rings := r :: !rings);
   r
 
@@ -133,33 +124,6 @@ let dls_ring = Domain.DLS.new_key new_ring
 let current_ring () = Domain.DLS.get dls_ring
 
 let seq_counter = Atomic.make 0
-
-(* correlation context: fields stamped onto every record the calling
-   domain emits while the context is active *)
-let dls_ctx : (string * string) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let with_context fields f =
-  let ctx = Domain.DLS.get dls_ctx in
-  let saved = !ctx in
-  ctx := saved @ fields;
-  Fun.protect ~finally:(fun () -> ctx := saved) f
-
-let context () = !(Domain.DLS.get dls_ctx)
-
-(* sampling for high-rate events: admit the 1st and then every [every]th
-   occurrence of [key] on the calling domain *)
-let dls_samples : (string, int) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let sample ~every key =
-  if every <= 1 then true
-  else begin
-    let tbl = Domain.DLS.get dls_samples in
-    let n = match Hashtbl.find_opt tbl key with Some n -> n | None -> 0 in
-    Hashtbl.replace tbl key (n + 1);
-    n mod every = 0
-  end
 
 let emit level event ?(fields = []) msg =
   if enabled level then begin
@@ -171,7 +135,7 @@ let emit level event ?(fields = []) msg =
         r_level = level;
         r_event = event;
         r_msg = msg;
-        r_fields = context () @ fields }
+        r_fields = fields }
     in
     Ring.push (current_ring ()) r
   end
@@ -179,7 +143,6 @@ let emit level event ?(fields = []) msg =
 let logf level event ?fields fmt =
   Printf.ksprintf (fun msg -> emit level event ?fields msg) fmt
 
-let debug ?fields event fmt = logf Debug event ?fields fmt
 let info ?fields event fmt = logf Info event ?fields fmt
 let warn ?fields event fmt = logf Warn event ?fields fmt
 let error ?fields event fmt = logf Error event ?fields fmt
@@ -201,8 +164,7 @@ let dropped () =
 let reset () =
   ignore (drain ());
   Mutex.protect rings_mutex (fun () -> rings := []);
-  Domain.DLS.set dls_ring (new_ring ());
-  Domain.DLS.set dls_ctx (ref [])
+  Domain.DLS.set dls_ring (new_ring ())
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)

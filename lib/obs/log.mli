@@ -10,9 +10,8 @@
 
     While logging is off (the default), {!emit} is a single atomic load
     and an integer compare, preserving the telemetry-off overhead
-    budget.  Correlation fields ([trace_id], [job_id]) attach to every
-    record emitted inside {!with_context}; {!sample} thins high-rate
-    events.  Records render to JSON-lines (via {!Json_emit}, schema
+    budget.  Correlation fields ([trace_id], [job_id]) are passed as
+    explicit [~fields] and promoted to top level in JSON.  Records render to JSON-lines (via {!Json_emit}, schema
     registered as {!Schemas.log}) or a human-readable line. *)
 
 type level = Debug | Info | Warn | Error
@@ -24,7 +23,6 @@ val set_level : level option -> unit
 (** [None] turns logging off (the default unless the [POLYPROF_LOG]
     environment variable names a level). *)
 
-val current_level : unit -> level option
 val enabled : level -> bool
 
 val env_var : string
@@ -41,7 +39,7 @@ type record = {
   r_level : level;
   r_event : string;  (** dotted event name, e.g. ["serve.job.done"] *)
   r_msg : string;
-  r_fields : (string * string) list;  (** context fields first *)
+  r_fields : (string * string) list;
 }
 
 (** {2 Emission} *)
@@ -53,12 +51,6 @@ val logf :
   level ->
   string ->
   ?fields:(string * string) list ->
-  ('a, unit, string, unit) format4 ->
-  'a
-
-val debug :
-  ?fields:(string * string) list ->
-  string ->
   ('a, unit, string, unit) format4 ->
   'a
 
@@ -80,16 +72,6 @@ val error :
   ('a, unit, string, unit) format4 ->
   'a
 
-val with_context : (string * string) list -> (unit -> 'a) -> 'a
-(** Stamp the given fields (e.g. [("trace_id", t); ("job_id", i)]) onto
-    every record the calling domain emits inside the callback.
-    Contexts nest; fields accumulate outermost-first. *)
-
-val sample : every:int -> string -> bool
-(** [sample ~every key] admits the first and then every [every]-th
-    occurrence of [key] on the calling domain — guard high-rate events
-    with it before logging. *)
-
 (** {2 Collection} *)
 
 val drain : unit -> record list
@@ -101,12 +83,7 @@ val dropped : unit -> int
 (** Total records lost to ring wraparound since the last {!reset}. *)
 
 val reset : unit -> unit
-(** Drop buffered records, forget foreign rings and clear the calling
-    domain's context — test isolation. *)
-
-val set_capacity : int -> unit
-(** Ring capacity for domains that have not logged yet (default
-    4096). *)
+(** Drop buffered records and forget foreign rings — test isolation. *)
 
 (** {2 Sinks} *)
 

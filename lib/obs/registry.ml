@@ -12,8 +12,3 @@ let state = Atomic.make env_enabled
 let enabled () = Atomic.get state
 let enable () = Atomic.set state true
 let disable () = Atomic.set state false
-
-let with_enabled f =
-  let before = Atomic.get state in
-  Atomic.set state true;
-  Fun.protect ~finally:(fun () -> Atomic.set state before) f

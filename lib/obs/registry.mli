@@ -13,7 +13,3 @@ val disable : unit -> unit
 
 val env_var : string
 (** ["POLYPROF_TELEMETRY"]. *)
-
-val with_enabled : (unit -> 'a) -> 'a
-(** Run [f] with telemetry forced on, restoring the previous state
-    (used by tests and the dedicated [telemetry] subcommand). *)

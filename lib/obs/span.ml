@@ -76,12 +76,6 @@ let with_ ?cat name f =
     Fun.protect ~finally:(fun () -> exit_ name) f
   end
 
-let add_arg k v =
-  if Registry.enabled () then
-    match !(Domain.DLS.get stack_key) with
-    | [] -> ()
-    | f :: _ -> f.f_span.sp_args <- (k, v) :: f.f_span.sp_args
-
 let roots () =
   let l = Mutex.protect completed_mutex (fun () -> !completed) in
   List.sort

@@ -33,10 +33,6 @@ val with_ : ?cat:string -> string -> (unit -> 'a) -> 'a
 (** [with_ name f] runs [f] inside a span; the span closes even if [f]
     raises.  The preferred instrumentation form. *)
 
-val add_arg : string -> string -> unit
-(** Attach a key/value to the innermost open span (shown in the Chrome
-    trace [args] and the summary). *)
-
 val roots : unit -> t list
 (** Completed top-level spans, across all domains, ordered by start
     time (ties broken by name — deterministic). *)

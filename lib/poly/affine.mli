@@ -20,8 +20,6 @@ val eval : t -> int array -> Rat.t
 val eval_rat : t -> Rat.t array -> Rat.t
 val equal : t -> t -> bool
 val is_constant : t -> bool
-val is_integral : t -> bool
-(** All coefficients and the constant are integers. *)
 
 val substitute : t -> int -> t -> t
 (** [substitute e k by] replaces [x_k] with the expression [by] (which

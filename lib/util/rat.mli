@@ -3,8 +3,8 @@
     All values are kept in canonical form: the denominator is strictly
     positive and numerator and denominator are coprime.  Native [int]
     (63-bit) precision is sufficient for the small coefficients occurring
-    in folded dependence polyhedra; operations raise [Overflow] if an
-    intermediate product would wrap. *)
+    in folded dependence polyhedra; every operation raises [Overflow]
+    instead of wrapping: products, sums, and negations of [min_int]. *)
 
 type t = private { num : int; den : int }
 
@@ -49,7 +49,6 @@ val ceil : t -> int
 val to_int_exn : t -> int
 (** @raise Invalid_argument if the value is not an integer. *)
 
-val to_float : t -> float
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

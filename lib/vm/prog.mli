@@ -51,7 +51,6 @@ val func_name : t -> int -> string
 val block : t -> fid:int -> bid:int -> block
 val instr_at : t -> Isa.Sid.t -> Isa.instr
 val loc_of_block : t -> fid:int -> bid:int -> loc option
-val n_static_instrs : t -> int
 val pp : Format.formatter -> t -> unit
 
 (** Imperative program builder. *)
@@ -76,7 +75,6 @@ module Builder : sig
   (** Allocate an empty block and return its id.  Block 0 is the entry
       and is allocated implicitly on [define_func]. *)
 
-  val set_block_loc : func_builder -> int -> loc -> unit
   val emit : func_builder -> int -> Isa.instr -> unit
   (** Append an instruction to the given block. *)
 

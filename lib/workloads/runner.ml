@@ -4,14 +4,13 @@ type outcome = {
   pipeline : Polyprof.t option;
   dep_keys : int;
   sched_bailed : bool;
-  lint : Analysis.Lint.entry option;
   xform : Xform.Driver.summary option;
 }
 
 let sched_budget = 1200
 
-let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
-    ?(static_prune = false) (w : Workload.t) =
+let run ?(budget = sched_budget) ?(xverify = false) ?(static_prune = false)
+    (w : Workload.t) =
   Obs.Span.with_ ~cat:"workload" ("workload." ^ w.Workload.w_name) @@ fun () ->
   let prog = Vm.Hir.lower w.Workload.hir in
   let structure = Cfg.Cfg_builder.run prog in
@@ -24,14 +23,6 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
       in
       result
     else Ddg.Depprof.profile prog ~structure
-  in
-  let lint =
-    if crosscheck then
-      Some
-        (Analysis.Lint.crosschecked
-           (Analysis.Lint.analyse ~name:w.Workload.w_name prog)
-           prog profile)
-    else None
   in
   let dep_keys = List.length profile.Ddg.Depprof.deps in
   let polly =
@@ -60,7 +51,6 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
       pipeline = None;
       dep_keys;
       sched_bailed = true;
-      lint;
       (* no feedback to apply when the scheduler bailed out *)
       xform = None }
   end
@@ -83,7 +73,6 @@ let run ?(budget = sched_budget) ?(crosscheck = false) ?(xverify = false)
             feedback };
       dep_keys;
       sched_bailed = false;
-      lint;
       xform =
         (if xverify then
            Some

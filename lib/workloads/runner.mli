@@ -10,9 +10,6 @@ type outcome = {
       (** [None] when the scheduling stage bailed out *)
   dep_keys : int;  (** folded dependence relations in the DDG *)
   sched_bailed : bool;
-  lint : Analysis.Lint.entry option;
-      (** static lint + static-vs-dynamic cross-check of the profiled
-          DDG; [Some] iff [run ~crosscheck:true] *)
   xform : Xform.Driver.summary option;
       (** differential transformation verification of every suggested
           schedule; [Some] iff [run ~xverify:true] and the scheduler did
@@ -25,8 +22,7 @@ val sched_budget : int
     paper's scheduler memory exhaustion by exceeding it). *)
 
 val run :
-  ?budget:int -> ?crosscheck:bool -> ?xverify:bool -> ?static_prune:bool ->
-  Workload.t -> outcome
+  ?budget:int -> ?xverify:bool -> ?static_prune:bool -> Workload.t -> outcome
 (** [static_prune] runs {!Analysis.Statdep} first and profiles under
     its instrumentation-pruning plan ({!Analysis.Statdep.fallback_profile}):
     statically-resolved accesses skip shadow tracking.  The profile is

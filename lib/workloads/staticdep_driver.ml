@@ -37,7 +37,6 @@ let run ?(prune = false) (w : Workload.t) =
     prune = (if prune then Some (prune_run prog) else None) }
 
 let sound r = match r.prune with Some p -> p.equal | None -> true
-let fraction p = float_of_int p.pruned_dyn /. float_of_int (max 1 p.dyn_mem_ops)
 
 let pruned_pct p =
   100.0 *. float_of_int p.pruned_dyn /. float_of_int (max 1 p.dyn_mem_ops)
@@ -46,24 +45,29 @@ let possible_pairs sd =
   List.length (List.filter (fun (p : S.pair_dep) -> p.S.pd_possible) sd.S.pairs)
 
 let to_json r =
-  let json_string = Obs.Json_emit.escape_string in
-  let prune_part =
+  let open Obs.Json_emit in
+  Obj
+    ([ ("name", Str r.name);
+       ("accesses", Int r.sd.S.n_accesses);
+       ("resolved", Int (S.n_resolved r.sd));
+       ("pruned", Int (S.n_pruned r.sd));
+       ( "prunable_regions",
+         List (List.map (fun s -> Str s) (S.prunable_regions r.sd)) );
+       ("pairs", Int (List.length r.sd.S.pairs));
+       ("possible_pairs", Int (possible_pairs r.sd)) ]
+    @
     match r.prune with
-    | None -> ""
+    | None -> []
     | Some p ->
-        Printf.sprintf
-          ", \"pruned_dynamic\": %d, \"dyn_mem_ops\": %d, \
-           \"pruned_fraction\": %.4f, \"profiles_equal\": %b, \
-           \"speculative_witnesses\": %d, \"witness_reruns\": %d"
-          p.pruned_dyn p.dyn_mem_ops (fraction p) p.equal p.witnesses p.reruns
-  in
-  Printf.sprintf
-    "{\"name\": %s, \"accesses\": %d, \"resolved\": %d, \"pruned\": %d, \
-     \"prunable_regions\": [%s], \"pairs\": %d, \"possible_pairs\": %d%s}"
-    (json_string r.name) r.sd.S.n_accesses (S.n_resolved r.sd)
-    (S.n_pruned r.sd)
-    (String.concat ", " (List.map json_string (S.prunable_regions r.sd)))
-    (List.length r.sd.S.pairs) (possible_pairs r.sd) prune_part
+        [ ("pruned_dynamic", Int p.pruned_dyn);
+          ("dyn_mem_ops", Int p.dyn_mem_ops);
+          ( "pruned_fraction",
+            Float
+              (float_of_int p.pruned_dyn /. float_of_int (max 1 p.dyn_mem_ops))
+          );
+          ("profiles_equal", Bool p.equal);
+          ("speculative_witnesses", Int p.witnesses);
+          ("witness_reruns", Int p.reruns) ])
 
 let plural n = if n = 1 then "" else "s"
 

@@ -36,9 +36,9 @@ val pruned_pct : prune -> float
 (** Percentage of dynamic memory operations that skipped shadow
     tracking. *)
 
-val to_json : t -> string
-(** The one-line [polyprof staticdep W [--prune] --json] object.
-    Deterministic: no timings. *)
+val to_json : t -> Obs.Json_emit.t
+(** The [polyprof staticdep W [--prune] --json] object.  Deterministic:
+    no timings. *)
 
 val pp : Format.formatter -> t -> unit
 (** Verbose report: the engine's findings, then the pruning verdict. *)

@@ -437,6 +437,40 @@ let test_lint_redundant_load () =
   Alcotest.(check int) "store resets availability" 0
     (List.length (Analysis.Lint.redundant_load quiet))
 
+let test_lint_json_roundtrip () =
+  let module J = Obs.Json_emit in
+  let msg = "say \"hi\"\nthen \\ leave" in
+  let e =
+    { Analysis.Lint.e_name = "quoted";
+      e_diags =
+        [ Analysis.Diag.error ~code:"E-target" ~fid:0 "bad target";
+          Analysis.Diag.warning ~code:"W-uninit" ~fid:1 msg ];
+      e_accesses = 4;
+      e_affine = 3;
+      e_ranged = 2;
+      e_xcheck = None }
+  in
+  match J.parse (J.to_string (Analysis.Lint.to_json e)) with
+  | Error err -> Alcotest.failf "lint JSON does not parse: %s" err
+  | Ok doc ->
+      let int k =
+        match J.member k doc with
+        | Some (J.Int n) -> n
+        | _ -> Alcotest.failf "missing int %s" k
+      in
+      Alcotest.(check (list int)) "errors/warnings/infos/accesses"
+        [ 1; 1; 0; 4 ]
+        (List.map int [ "errors"; "warnings"; "infos"; "accesses" ]);
+      Alcotest.(check bool) "failed, cross-check absent" true
+        (J.member "passed" doc = Some (J.Bool false)
+        && J.member "crosscheck" doc = Some J.Null);
+      (match J.member "diags" doc with
+      | Some (J.List [ _; d ]) ->
+          Alcotest.(check bool) "message round-trips" true
+            (J.member "message" d = Some (J.Str msg)
+            && J.member "code" d = Some (J.Str "W-uninit"))
+      | _ -> Alcotest.fail "expected two diagnostics")
+
 (* ---------------- static dependence engine ---------------- *)
 
 let profile_both prog =
@@ -894,19 +928,25 @@ let prop_seeded_race_never_certifies =
 
 (* ---------------- whole-workload sweep ---------------- *)
 
+(* the static dependence engine's advisories, which flag facts about a
+   workload (a racy loop, a reduction) rather than defects in its code *)
+let advisory_codes = [ "W-almost-affine"; "W-race"; "W-privatizable"; "W-reduction" ]
+
 let test_sweep_all_workloads () =
   let ws = Workloads.Registry.suite in
   List.iter
     (fun (w : Workloads.Workload.t) ->
-      let e =
-        Analysis.Lint.of_hir ~name:w.w_name ~profile:true w.Workloads.Workload.hir
-      in
+      let e = Analysis.Lint.run ~name:w.w_name (H.lower w.Workloads.Workload.hir) in
       Alcotest.(check int)
         (w.w_name ^ ": no verifier/analysis errors") 0
         (Analysis.Diag.count Analysis.Diag.Error e.Analysis.Lint.e_diags);
       Alcotest.(check int)
-        (w.w_name ^ ": no warnings") 0
-        (Analysis.Diag.count Analysis.Diag.Warning e.Analysis.Lint.e_diags);
+        (w.w_name ^ ": no warnings besides the advisories") 0
+        (Analysis.Diag.count Analysis.Diag.Warning
+           (List.filter
+              (fun (d : Analysis.Diag.t) ->
+                not (List.mem d.Analysis.Diag.code advisory_codes))
+              e.Analysis.Lint.e_diags));
       match e.Analysis.Lint.e_xcheck with
       | None -> Alcotest.failf "%s: cross-check did not run" w.w_name
       | Some r ->
@@ -914,16 +954,6 @@ let test_sweep_all_workloads () =
             (w.w_name ^ ": no cross-check violations") 0
             (List.length r.Analysis.Crosscheck.violations))
     ws
-
-let test_runner_carries_lint () =
-  let w = Workloads.Rodinia.find "hotspot" in
-  let o = Workloads.Runner.run ~crosscheck:true w in
-  match o.Workloads.Runner.lint with
-  | None -> Alcotest.fail "runner did not attach a lint entry"
-  | Some e ->
-      Alcotest.(check bool) "lint passes" true (Analysis.Lint.passed e);
-      Alcotest.(check bool) "cross-check ran on the runner's profile" true
-        (e.Analysis.Lint.e_xcheck <> None)
 
 let () =
   Alcotest.run "analysis"
@@ -962,7 +992,9 @@ let () =
         [ Alcotest.test_case "W-deadcode constant branch" `Quick
             test_lint_deadcode;
           Alcotest.test_case "W-redundant-load in block" `Quick
-            test_lint_redundant_load ] );
+            test_lint_redundant_load;
+          Alcotest.test_case "JSON round-trip" `Quick
+            test_lint_json_roundtrip ] );
       ( "statdep",
         [ Alcotest.test_case "gemm fully resolved + (=,=,<)" `Quick
             test_statdep_gemm;
@@ -1002,6 +1034,4 @@ let () =
           Alcotest.test_case "rodinia kernels" `Quick test_agreement_rodinia ] );
       ( "sweep",
         [ Alcotest.test_case "all workloads lint clean" `Slow
-            test_sweep_all_workloads;
-          Alcotest.test_case "runner cross-check integration" `Quick
-            test_runner_carries_lint ] ) ]
+            test_sweep_all_workloads ] ) ]

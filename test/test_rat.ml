@@ -48,6 +48,28 @@ let test_gcd_lcm () =
   Alcotest.(check int) "lcm 4 6" 12 (Rat.lcm 4 6);
   Alcotest.(check int) "lcm 0 6" 0 (Rat.lcm 0 6)
 
+(* every operation that cannot represent its result raises [Overflow]
+   rather than wrapping around *)
+let test_overflow_raises () =
+  let big = Rat.of_int (1 lsl 61) and low = Rat.of_int min_int in
+  let raises name f =
+    Alcotest.check_raises name Rat.Overflow (fun () -> ignore (f ()))
+  in
+  raises "2^61 + 2^61" (fun () -> Rat.add big big);
+  raises "-2^61 - 2^61 - 1" (fun () ->
+      Rat.sub (Rat.neg big) (Rat.add big Rat.one));
+  raises "neg min_int" (fun () -> Rat.neg low);
+  raises "abs min_int" (fun () -> Rat.abs low);
+  raises "min_int / -1 (make)" (fun () -> Rat.make min_int (-1));
+  raises "1 / min_int (make)" (fun () -> Rat.make 1 min_int);
+  raises "min_int * -1" (fun () -> Rat.mul low Rat.minus_one);
+  raises "-1 * min_int" (fun () -> Rat.mul Rat.minus_one low);
+  Alcotest.check rat "2^61 + (2^61 - 1) still fits"
+    (Rat.of_int max_int)
+    (Rat.add big (Rat.of_int ((1 lsl 61) - 1)));
+  Alcotest.check rat "min_int itself is representable" low
+    (Rat.add (Rat.neg big) (Rat.neg big))
+
 (* property tests *)
 
 let small = QCheck.int_range (-1000) 1000
@@ -100,7 +122,8 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_arith;
           Alcotest.test_case "floor/ceil" `Quick test_floor_ceil;
           Alcotest.test_case "compare/sign" `Quick test_compare;
-          Alcotest.test_case "gcd/lcm" `Quick test_gcd_lcm ] );
+          Alcotest.test_case "gcd/lcm" `Quick test_gcd_lcm;
+          Alcotest.test_case "overflow raises" `Quick test_overflow_raises ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_add_comm; prop_add_assoc; prop_mul_distributes;

@@ -1,8 +1,9 @@
 (* Tests for lib/stream: varint/zigzag extremes, qcheck round-trip of
    the binary codec over random event streams, framing/corruption
    rejection with the typed [Stream.Error], the domain-sharded
-   profiler's bit-identity with the sequential profiler, and the replay
-   of an address-elided trace under a static-pruning plan. *)
+   profiler's bit-identity with the sequential profiler, the replay of
+   an address-elided trace under a static-pruning plan, and the stream
+   driver shared by the CLI and the bench. *)
 
 module H = Vm.Hir
 
@@ -382,6 +383,26 @@ let test_elided_replay_pruned () =
         (Ddg.Depprof.equal_result full pruned))
     [ Workloads.Polybench.trisolv; Workloads.Polybench.gemm ]
 
+(* the driver behind [polyprof trace stats] and [bench stream]: the
+   sharded profile matches the sequential one, every recorded event
+   decodes back, and its JSON row survives a parse/re-emit cycle *)
+let test_stream_driver () =
+  let module D = Workloads.Stream_driver in
+  let module J = Obs.Json_emit in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let r = D.run ~domains:2 w in
+      Alcotest.(check bool) (w.w_name ^ ": sound") true (D.sound r);
+      Alcotest.(check int)
+        (w.w_name ^ ": decoded = recorded") r.D.events r.D.decoded;
+      let text = J.to_string (D.to_json r) in
+      match J.parse text with
+      | Error e -> Alcotest.failf "%s: JSON does not parse: %s" w.w_name e
+      | Ok doc ->
+          Alcotest.(check string)
+            (w.w_name ^ ": JSON round-trips") text (J.to_string doc))
+    [ Workloads.Polybench.atax; Workloads.Backprop.workload ]
+
 let () =
   Alcotest.run "stream"
     [ ( "varint",
@@ -409,4 +430,6 @@ let () =
           Alcotest.test_case "3 domains = sequential, whole suite" `Slow
             test_par_equals_seq_suite;
           Alcotest.test_case "elided trace + pruned replay" `Quick
-            test_elided_replay_pruned ] ) ]
+            test_elided_replay_pruned;
+          Alcotest.test_case "stream driver on atax and backprop" `Quick
+            test_stream_driver ] ) ]
