@@ -24,26 +24,34 @@ let section title =
   Format.printf "=======================================================@."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel helper: nanoseconds per run                                *)
+(* Bechamel helpers: nanoseconds and minor words per run               *)
 (* ------------------------------------------------------------------ *)
 
-let time_ns ~name fn =
+(* OLS estimates per run of [fn]: [| nanoseconds; minor words |] *)
+let ols_estimates ~name fn =
   let test = Test.make ~name (Staged.stage fn) in
   let cfg =
     Benchmark.cfg ~limit:500 ~quota:(Time.second 0.4) ~kde:None
       ~stabilize:false ()
   in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
+  let instances = [ Instance.monotonic_clock; Instance.minor_allocated ] in
+  let raw = Benchmark.all cfg instances test in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  match Hashtbl.fold (fun _ v acc -> v :: acc) results [] with
-  | v :: _ -> (
-      match Analyze.OLS.estimates v with
-      | Some (e :: _) -> e
-      | _ -> nan)
-  | [] -> nan
+  Array.of_list
+    (List.map
+       (fun instance ->
+         let results = Analyze.all ols instance raw in
+         match Hashtbl.fold (fun _ v acc -> v :: acc) results [] with
+         | v :: _ -> (
+             match Analyze.OLS.estimates v with
+             | Some (e :: _) -> e
+             | _ -> nan)
+         | [] -> nan)
+       instances)
+
+let time_ns ~name fn = (ols_estimates ~name fn).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Tables 1 & 2: dependency stream and folded dependences (Fig. 6)     *)
@@ -289,67 +297,6 @@ let fig_7 () =
     (Polyprof.flamegraph_ascii ~width:40 t)
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline micro-benchmarks (Bechamel)                                 *)
-(* ------------------------------------------------------------------ *)
-
-let perf () =
-  section "Pipeline micro-benchmarks";
-  let backprop = Vm.Hir.lower Workloads.Backprop.workload.Workloads.Workload.hir in
-  let structure = Cfg.Cfg_builder.run backprop in
-  let t_interp =
-    time_ns ~name:"interp-backprop" (fun () ->
-        ignore (Vm.Interp.run backprop))
-  in
-  let t_instr1 =
-    time_ns ~name:"instrumentation-I" (fun () ->
-        ignore (Cfg.Cfg_builder.run backprop))
-  in
-  let t_instr2 =
-    time_ns ~name:"instrumentation-II+fold" (fun () ->
-        ignore (Ddg.Depprof.profile backprop ~structure))
-  in
-  (* folding throughput on a 10k-point triangle *)
-  let tri_points =
-    let pts = ref [] in
-    for i = 0 to 140 do
-      for j = 0 to i do
-        pts := ([| i; j |], [| (17 * i) + j |]) :: !pts
-      done
-    done;
-    List.rev !pts
-  in
-  let t_fold =
-    time_ns ~name:"fold-10k-triangle" (fun () ->
-        ignore (Fold.fold_points ~dim:2 ~label_dim:1 tri_points))
-  in
-  (* FM vs LP bounds on a 3-D triangle-ish polyhedron *)
-  let p3 =
-    Minisl.Polyhedron.make 3
-      [ Minisl.Constr.make Ge [| 1; 0; 0 |] 0;
-        Minisl.Constr.make Ge [| -1; 0; 0 |] 50;
-        Minisl.Constr.make Ge [| 1; -1; 0 |] 0;
-        Minisl.Constr.make Ge [| 0; 1; 0 |] 0;
-        Minisl.Constr.make Ge [| 0; 1; -1 |] 0;
-        Minisl.Constr.make Ge [| 0; 0; 1 |] 0 ]
-  in
-  let obj = Minisl.Affine.of_int_coeffs [| 1; -2; 3 |] 0 in
-  let t_fm =
-    time_ns ~name:"bounds-FM" (fun () -> ignore (Minisl.Polyhedron.bounds p3 obj))
-  in
-  let t_lp =
-    time_ns ~name:"bounds-LP" (fun () -> ignore (Minisl.Lp.bounds p3 obj))
-  in
-  let n_ops = float_of_int (Vm.Interp.run backprop).Vm.Interp.dyn_instrs in
-  Format.printf "interpreter            : %8.0f ns/run (%.0f Mops/s)@." t_interp
-    (n_ops /. t_interp *. 1e3);
-  Format.printf "instrumentation I      : %8.0f ns/run@." t_instr1;
-  Format.printf "instrumentation II+fold: %8.0f ns/run (%.1fx the plain run)@."
-    t_instr2 (t_instr2 /. t_interp);
-  Format.printf "fold 10k-point triangle: %8.0f ns/run@." t_fold;
-  Format.printf "bounds, 3-D, FM        : %8.0f ns@." t_fm;
-  Format.printf "bounds, 3-D, LP        : %8.0f ns@." t_lp
-
-(* ------------------------------------------------------------------ *)
 (* Section 8: profiling overhead                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -487,6 +434,146 @@ let emit_bench name doc =
   if !record_history then begin
     Obs.Perfhist.record ~dir:(Filename.concat "bench" "history") ~bench:name doc;
     Format.printf "recorded %s into bench/history/%s.jsonl@." name name
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Layer micro-benchmarks (Bechamel): ns and minor words per operation  *)
+(* ------------------------------------------------------------------ *)
+
+type layer_row = {
+  l_name : string;
+  l_per : string;  (* what one operation is: "op", "point", "instr", ... *)
+  l_ns : float;
+  l_words : float;
+}
+
+(* The 10k-point triangle, a 3-D nest with two triangular dimensions,
+   and the Table 2 reduction whose first inner iteration reads the
+   previous outer iteration's result (the I4 -> I4 dependence holds on
+   ck >= 1 only), which folds through a boundary split.  Each is
+   (name, dim, label_dim, coords, labels). *)
+let layer_fold_inputs () =
+  let stream dim label_dim emit =
+    let pts = ref [] in
+    emit (fun c l -> pts := (c, l) :: !pts);
+    let pts = Array.of_list (List.rev !pts) in
+    (dim, label_dim, Array.map fst pts, Array.map snd pts)
+  in
+  [ ( "triangle-10k",
+      stream 2 1 (fun emit ->
+          for i = 0 to 140 do
+            for j = 0 to i do
+              emit [| i; j |] [| (17 * i) + j |]
+            done
+          done) );
+    ( "nest-3d",
+      stream 3 2 (fun emit ->
+          for a = 0 to 24 do
+            for b = 0 to a do
+              for c = b to 24 do
+                emit [| a; b; c |] [| (2 * a) - b + (3 * c); a + c |]
+              done
+            done
+          done) );
+    ( "split-reduction",
+      stream 2 2 (fun emit ->
+          for i = 1 to 100 do
+            for k = 0 to 49 do
+              emit [| i; k |] (if k = 0 then [| i - 1; 49 |] else [| i; k - 1 |])
+            done
+          done) ) ]
+
+let layers () =
+  section "Layer micro-benchmarks: ns and minor words per operation";
+  let row ~name ~per ~per_run fn =
+    let est = ols_estimates ~name fn in
+    let f = float_of_int per_run in
+    { l_name = name; l_per = per; l_ns = est.(0) /. f; l_words = est.(1) /. f }
+  in
+  let module R = Pp_util.Rat in
+  let module A = Minisl.Affine in
+  let q1 = Sys.opaque_identity (R.make 3 4)
+  and q2 = Sys.opaque_identity (R.make 5 6) in
+  let f3 = A.of_int_coeffs [| 3; -2; 7 |] 11 and x3 = [| 4; 9; -5 |] in
+  let arith =
+    [ row ~name:"rat.add" ~per:"op" ~per_run:1 (fun () -> R.add q1 q2);
+      row ~name:"rat.mul" ~per:"op" ~per_run:1 (fun () -> R.mul q1 q2);
+      row ~name:"affine.eval" ~per:"op" ~per_run:1 (fun () -> A.eval f3 x3) ]
+  in
+  let fold =
+    List.concat_map
+      (fun (input, (dim, label_dim, coords, labels)) ->
+        let n = Array.length coords in
+        let fill () =
+          let c = Fold.Collector.create ~dim ~label_dim () in
+          Array.iteri (fun k p -> Fold.Collector.add c p labels.(k)) coords;
+          c
+        in
+        let add = row ~name:("collector.add/" ^ input) ~per:"point" ~per_run:n fill in
+        let whole =
+          row ~name:"fold" ~per:"point" ~per_run:n (fun () ->
+              Fold.Collector.result (fill ()))
+        in
+        (* result on its own: the whole fold less the buffering *)
+        [ add;
+          { whole with
+            l_name = "collector.result/" ^ input;
+            l_ns = whole.l_ns -. add.l_ns;
+            l_words = whole.l_words -. add.l_words } ])
+      (layer_fold_inputs ())
+  in
+  let backprop = Vm.Hir.lower Workloads.Backprop.workload.Workloads.Workload.hir in
+  let structure = Cfg.Cfg_builder.run backprop in
+  let instrs = (Vm.Interp.run backprop).Vm.Interp.dyn_instrs in
+  let pipeline =
+    [ row ~name:"interp/backprop" ~per:"instr" ~per_run:instrs (fun () ->
+          Vm.Interp.run backprop);
+      row ~name:"instrumentation-I/backprop" ~per:"instr" ~per_run:instrs
+        (fun () -> Cfg.Cfg_builder.run backprop);
+      row ~name:"instrumentation-II+fold/backprop" ~per:"instr"
+        ~per_run:instrs (fun () -> Ddg.Depprof.profile backprop ~structure) ]
+  in
+  (* FM vs LP bounds on a 3-D triangle-ish polyhedron *)
+  let p3 =
+    Minisl.Polyhedron.make 3
+      [ Minisl.Constr.make Ge [| 1; 0; 0 |] 0;
+        Minisl.Constr.make Ge [| -1; 0; 0 |] 50;
+        Minisl.Constr.make Ge [| 1; -1; 0 |] 0;
+        Minisl.Constr.make Ge [| 0; 1; 0 |] 0;
+        Minisl.Constr.make Ge [| 0; 1; -1 |] 0;
+        Minisl.Constr.make Ge [| 0; 0; 1 |] 0 ]
+  in
+  let obj = A.of_int_coeffs [| 1; -2; 3 |] 0 in
+  let bounds =
+    [ row ~name:"bounds-3d/FM" ~per:"op" ~per_run:1 (fun () ->
+          Minisl.Polyhedron.bounds p3 obj);
+      row ~name:"bounds-3d/LP" ~per:"op" ~per_run:1 (fun () ->
+          Minisl.Lp.bounds p3 obj) ]
+  in
+  let rows = arith @ fold @ pipeline @ bounds in
+  print_string
+    (Report.Texttable.render
+       ~header:[ "layer"; "per"; "ns/op"; "minor words/op" ]
+       (List.map
+          (fun r ->
+            [ r.l_name; r.l_per; Printf.sprintf "%.1f" r.l_ns;
+              Printf.sprintf "%.1f" r.l_words ])
+          rows));
+  if !json_out then begin
+    let open Obs.Json_emit in
+    emit_bench "layers"
+      (Obj
+         (schema_header ~schema_version:Obs.Schemas.layers
+         @ [ ( "rows",
+               List
+                 (List.map
+                    (fun r ->
+                      Obj
+                        [ ("name", Str r.l_name);
+                          ("per", Str r.l_per);
+                          ("ns", Float r.l_ns);
+                          ("minor_words", Float r.l_words) ])
+                    rows) ) ]))
   end
 
 let stream_bench () =
@@ -852,7 +939,7 @@ let () =
     [ ("table1-2", tables_1_and_2); ("table3", table_3); ("table4", table_4);
       ("table5", table_5); ("casestudy-verify", casestudy_verify);
       ("fig5", fig_5); ("fig7", fig_7);
-      ("ablation", ablation); ("perf", perf); ("overhead", overhead);
+      ("ablation", ablation); ("layers", layers); ("overhead", overhead);
       ("stream", stream_bench); ("staticdep", staticdep_bench);
       ("obs", obs_bench); ("autotune", autotune_bench);
       ("parcheck", parcheck_bench); ("serve", serve_bench) ]

@@ -7,11 +7,13 @@ let autotune = 1
 let overhead = 1
 let parcheck = 1
 let serve = 1
+let layers = 1
 let perfhist = 1
 let log = 1
 
 let all =
   [ { s_name = "autotune"; s_file = "BENCH_autotune.json"; s_version = autotune };
+    { s_name = "layers"; s_file = "BENCH_layers.json"; s_version = layers };
     { s_name = "log"; s_file = "(jsonl: Obs.Log sinks, serve --log-json)";
       s_version = log };
     { s_name = "obs"; s_file = "BENCH_obs.json"; s_version = obs };

@@ -20,6 +20,9 @@ val overhead : int
 val parcheck : int
 val serve : int
 
+val layers : int
+(** [BENCH_layers.json]: per-layer ns and minor words per operation. *)
+
 val perfhist : int
 (** [bench/history/*.jsonl] perf-history lines ({!Perfhist}). *)
 

@@ -201,6 +201,54 @@ let test_waw_tracking_optional () =
   let res = Ddg.Depprof.profile ~config:cfg prog ~structure in
   Alcotest.(check bool) "profiling with WAW works" true (List.length res.stmts > 0)
 
+(* Golden digests of the folded profile: every statement and dependence
+   key with its count and its pieces as printed by [Fold.pp_piece].  They
+   pin the fold's output bit for bit, so a change to the folding code
+   that alters any piece, label or count shows up here. *)
+let golden_digests =
+  [ ("gemm",
+      "123e33d4e9fc204a8178b121a51ff7349ea8157fb3b47f05b59953867a98e593");
+    ("lu",
+      "e4595ea111708fb3a326375cd7ccb0fba4bbf30f02ce9e6c9557895ff9978ff3");
+    ("backprop",
+      "cf6177b9987e04def56239c983c9722acf04ea98e5c929c2ef4d9f537c8426c9");
+    ("bfs",
+      "ea57db7c59cfe9a5ce6d20c35eda8418f78ca5b752aa14034c0bfb0c015829f2");
+    ("lavaMD",
+      "3cfdd57b70ee75948adfe85d037668826fde1cc1b1a2c5bd108326a601cea916") ]
+
+let fold_dump (res : Ddg.Depprof.result) =
+  let b = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer b in
+  let pieces ps =
+    List.iter (Format.fprintf fmt "  %a@\n" (Fold.pp_piece ?names:None ?label_names:None)) ps
+  in
+  List.iter
+    (fun (s : Ddg.Depprof.stmt_info) ->
+      Format.fprintf fmt "stmt %d %a n=%d@\n" s.sk.s_ctx Vm.Isa.Sid.pp s.sk.s_sid
+        s.s_count;
+      pieces s.s_pieces)
+    res.stmts;
+  List.iter
+    (fun (d : Ddg.Depprof.dep_info) ->
+      Format.fprintf fmt "dep %d:%a -> %d:%a n=%d@\n" d.dk.src_ctx Vm.Isa.Sid.pp
+        d.dk.src_sid d.dk.dst_ctx Vm.Isa.Sid.pp d.dk.dst_sid d.d_count;
+      pieces d.d_pieces)
+    res.deps;
+  Format.pp_print_flush fmt ();
+  Buffer.contents b
+
+let test_fold_golden () =
+  List.iter
+    (fun (name, expected) ->
+      match Workloads.Registry.find name with
+      | Error e -> Alcotest.fail e
+      | Ok w ->
+          let _, res = profile w.Workloads.Workload.hir in
+          let got = Polyprof.Prog_hash.sha256_hex (fold_dump res) in
+          Alcotest.(check string) (name ^ " fold digest") expected got)
+    golden_digests
+
 let () =
   Alcotest.run "depprof"
     [ ( "shadow",
@@ -220,4 +268,7 @@ let () =
       ( "statements",
         [ Alcotest.test_case "domains exact" `Quick test_stmt_domains_exact;
           Alcotest.test_case "counts match interpreter" `Quick
-            test_counts_match_interpreter ] ) ]
+            test_counts_match_interpreter ] );
+      ( "golden",
+        [ Alcotest.test_case "fold digests (gemm lu backprop bfs lavaMD)"
+            `Quick test_fold_golden ] ) ]
