@@ -52,13 +52,17 @@ module Collector : sig
 
   val add : t -> int array -> int array -> unit
   (** [add t coords label].  [coords] must have length [dim] and [label]
-      length [label_dim]. *)
+      length [label_dim].  The collector keeps both arrays without
+      copying them, so the caller must not mutate them afterwards. *)
 
   val npoints : t -> int
   val dim : t -> int
   val result : t -> piece list
   (** Finalize (idempotent).  The union of the returned pieces covers all
-      added points; pieces marked [exact] contain exactly their points. *)
+      added points; pieces marked [exact] contain exactly their points.
+      Points or labels too large for exact arithmetic do not raise
+      [Pp_util.Rat.Overflow]: the result is then one inexact piece, the
+      points' bounding box with every label component top. *)
 
   val is_affine : t -> bool
   (** After {!result}: all pieces exact with every label component

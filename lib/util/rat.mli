@@ -11,6 +11,15 @@ type t = private { num : int; den : int }
 exception Overflow
 exception Division_by_zero
 
+val mul_checked : int -> int -> int
+(** Native product that raises [Overflow] instead of wrapping.  On
+    integers, [mul] and [add] reduce to exactly these two checks, so
+    integer-only callers can compute without boxing and still raise
+    [Overflow] at the same operations. *)
+
+val add_checked : int -> int -> int
+(** Native sum that raises [Overflow] instead of wrapping. *)
+
 val make : int -> int -> t
 (** [make num den] is the canonical rational [num/den].
     @raise Division_by_zero if [den = 0]. *)

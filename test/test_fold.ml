@@ -284,6 +284,128 @@ let prop_fold_covers =
       let pieces = Fold.fold_points ~dim:1 ~label_dim:1 pts in
       covers pieces pts)
 
+(* Coordinates and labels past the exact-arithmetic range degrade the
+   fold to a bounding box with top labels instead of raising. *)
+let test_overflow_degrades () =
+  let pts = List.init 5 (fun i -> ([| (1 lsl 61) + i |], [| 3 * i |])) in
+  match Fold.fold_points ~dim:1 ~label_dim:1 pts with
+  | [ p ] ->
+      Alcotest.(check bool) "approx" false p.Fold.exact;
+      Alcotest.(check int) "points" 5 p.Fold.points;
+      Alcotest.(check bool) "labels top" true
+        (Array.for_all Option.is_none p.Fold.labels);
+      Alcotest.(check bool) "no under-approximation" true (p.Fold.under = None);
+      Alcotest.(check bool) "box covers" true (covers [ p ] pts);
+      Alcotest.(check bool) "box is tight" false
+        (P.mem p.Fold.dom [| (1 lsl 61) + 5 |])
+  | ps -> Alcotest.fail (Printf.sprintf "expected one box, got %d" (List.length ps))
+
+let test_streaming_label_overflow () =
+  (* past the cap, a label check whose evaluation overflows turns that
+     component top; the other component keeps its fit *)
+  let c = Fold.Collector.create ~cap:8 ~dim:1 ~label_dim:2 () in
+  for x = 0 to 9 do
+    Fold.Collector.add c [| x |] [| (5 * x) + 2; x + 1 |]
+  done;
+  Fold.Collector.add c [| 1 lsl 61 |] [| 0; (1 lsl 61) + 1 |];
+  match Fold.Collector.result c with
+  | [ p ] ->
+      Alcotest.(check bool) "overflowing component top" true
+        (Option.is_none p.Fold.labels.(0));
+      Alcotest.(check bool) "other component affine" true
+        (Option.is_some p.Fold.labels.(1))
+  | _ -> Alcotest.fail "expected one box"
+
+(* Random loop nests: 2-D i in [0, a], j in [lo(i), hi(i)], and 3-D with
+   k in [lo(j), hi(j)] on top; each bound is [b + s * outer] with b >= 0
+   and s in {0, 1}, widened where needed so that no row is empty.  These are the
+   rectangles, triangles (both ways) and trapezoids loop nests emit. *)
+let arb_loop_nest =
+  let bound =
+    QCheck.Gen.(quad (int_bound 6) (int_bound 1) (int_bound 1) (int_bound 3))
+  in
+  QCheck.make
+    ~print:(fun (three, a, (b, s, t, w), (b', s', t', w'), (p, q, r, c)) ->
+      Printf.sprintf "3d=%b a=%d j:(%d,%d,%d,%d) k:(%d,%d,%d,%d) l:(%d,%d,%d,%d)"
+        three a b s t w b' s' t' w' p q r c)
+    QCheck.Gen.(
+      map
+        (fun ((three, a), (bj, bk), (p, q, r, c)) ->
+          (three, a, bj, bk, (p - 3, q - 3, r - 3, c)))
+        (triple (pair bool (int_range 0 6)) (pair bound bound)
+           (quad (int_bound 6) (int_bound 6) (int_bound 6) (int_bound 20))))
+
+(* the nest's points in loop order, outer loop reversed when [rev] *)
+let nest_stream ~rev (three, a, (b, s, t, w), (b', s', t', w'), (p, q, r, c)) =
+  let range (b, s, t, w) outer extent =
+    (* keep hi >= lo on every row: hi - lo = w + (t - s) * outer, the
+       outer value is non-negative and at most [extent]
+       (j <= 15 < 25) *)
+    let w = if t < s then w + extent else w in
+    (b + (s * outer), b + w + (t * outer))
+  in
+  let pts = ref [] in
+  let outer = List.init (a + 1) (fun i -> if rev then a - i else i) in
+  List.iter
+    (fun i ->
+      let jlo, jhi = range (b, s, t, w) i a in
+      for j = jlo to jhi do
+        if three then begin
+          let klo, khi = range (b', s', t', w') j 25 in
+          for k = klo to khi do
+            pts := ([| i; j; k |], [| (p * i) + (q * j) + (r * k) + c; i - k |]) :: !pts
+          done
+        end
+        else pts := ([| i; j |], [| (p * i) + (q * j) + c; j |]) :: !pts
+      done)
+    outer;
+  ((if three then 3 else 2), List.rev !pts)
+
+let prop_nest_one_exact_piece =
+  QCheck.Test.make
+    ~name:"lexicographic loop nests fold to one exact piece" ~count:150
+    arb_loop_nest (fun nest ->
+      let dim, pts = nest_stream ~rev:false nest in
+      let pieces = Fold.fold_points ~dim ~label_dim:2 pts in
+      List.length pieces = 1
+      && all_exact_affine pieces
+      && labels_reproduce pieces pts
+      && P.count (List.hd pieces).Fold.dom = List.length pts)
+
+let prop_nest_reversed_outer =
+  QCheck.Test.make
+    ~name:"nests with a reversed outer loop still cover and reproduce"
+    ~count:150 arb_loop_nest (fun nest ->
+      let dim, pts = nest_stream ~rev:true nest in
+      let pieces = Fold.fold_points ~dim ~label_dim:2 pts in
+      covers pieces pts
+      && labels_reproduce pieces pts
+      && List.fold_left (fun n (p : Fold.piece) -> n + p.Fold.points) 0 pieces
+         = List.length pts)
+
+let test_strided_outer_rational_bound () =
+  (* i = 0, 2, .., 10 and j in [0, i/2]: the fitted inner bound has a 1/2
+     coefficient, so the nest is checked in rationals *)
+  let pts = ref [] in
+  for t = 0 to 5 do
+    let i = 2 * t in
+    for j = 0 to t do
+      pts := ([| i; j |], [| (3 * i) + j |]) :: !pts
+    done
+  done;
+  let pts = List.rev !pts in
+  let pieces = Fold.fold_points ~dim:2 ~label_dim:1 pts in
+  Alcotest.(check bool) "covers" true (covers pieces pts);
+  Alcotest.(check bool) "labels reproduce" true (labels_reproduce pieces pts);
+  Alcotest.(check int) "points sum to n" (List.length pts)
+    (List.fold_left (fun n (p : Fold.piece) -> n + p.Fold.points) 0 pieces);
+  List.iter
+    (fun (p : Fold.piece) ->
+      if p.Fold.exact then
+        Alcotest.(check int) "exact piece counts its points" p.Fold.points
+          (P.count p.Fold.dom))
+    pieces
+
 let () =
   Alcotest.run "fold"
     [ ( "exact",
@@ -296,7 +418,9 @@ let () =
           Alcotest.test_case "3-D triangles" `Quick test_3d_triangle;
           Alcotest.test_case "multi-component labels" `Quick
             test_multi_component_labels;
-          Alcotest.test_case "scalar context" `Quick test_scalar_context ] );
+          Alcotest.test_case "scalar context" `Quick test_scalar_context;
+          Alcotest.test_case "strided outer loop, rational bound" `Quick
+            test_strided_outer_rational_bound ] );
       ( "over-approximation",
         [ Alcotest.test_case "lattice holes" `Quick test_holes_over_approximate;
           Alcotest.test_case "non-affine labels" `Quick test_nonaffine_labels_top;
@@ -305,7 +429,12 @@ let () =
           Alcotest.test_case "streaming label violation" `Quick
             test_streaming_cap_label_violation;
           Alcotest.test_case "under-approximation (paper future work)" `Quick
-            test_under_approximation ] );
+            test_under_approximation;
+          Alcotest.test_case "overflow degrades to a box" `Quick
+            test_overflow_degrades;
+          Alcotest.test_case "streaming label overflow" `Quick
+            test_streaming_label_overflow ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_fold_rect_roundtrip; prop_fold_covers ] ) ]
+          [ prop_fold_rect_roundtrip; prop_fold_covers;
+            prop_nest_one_exact_piece; prop_nest_reversed_outer ] ) ]
