@@ -533,7 +533,7 @@ let layers () =
       row ~name:"instrumentation-II+fold/backprop" ~per:"instr"
         ~per_run:instrs (fun () -> Ddg.Depprof.profile backprop ~structure) ]
   in
-  (* FM vs LP bounds on a 3-D triangle-ish polyhedron *)
+  (* exact bounds on a 3-D triangle-ish polyhedron *)
   let p3 =
     Minisl.Polyhedron.make 3
       [ Minisl.Constr.make Ge [| 1; 0; 0 |] 0;
@@ -545,10 +545,8 @@ let layers () =
   in
   let obj = A.of_int_coeffs [| 1; -2; 3 |] 0 in
   let bounds =
-    [ row ~name:"bounds-3d/FM" ~per:"op" ~per_run:1 (fun () ->
-          Minisl.Polyhedron.bounds p3 obj);
-      row ~name:"bounds-3d/LP" ~per:"op" ~per_run:1 (fun () ->
-          Minisl.Lp.bounds p3 obj) ]
+    [ row ~name:"bounds-3d" ~per:"op" ~per_run:1 (fun () ->
+          Minisl.Polyhedron.bounds p3 obj) ]
   in
   let rows = arith @ fold @ pipeline @ bounds in
   print_string

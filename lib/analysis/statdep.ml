@@ -349,9 +349,9 @@ let addr_range bounds base coefs =
   let nd = Array.length bounds in
   if nd = 0 then Some (base, base)
   else
-    let dom = P.make nd (domain_rows nd ~offset:0 bounds) in
+    let rows = domain_rows nd ~offset:0 bounds in
     let obj = Af.of_int_coeffs coefs 0 in
-    match (Minisl.Lp.minimize dom obj, Minisl.Lp.maximize dom obj) with
+    match (Minisl.Lp.minimize rows obj, Minisl.Lp.maximize rows obj) with
     | Minisl.Lp.Opt mn, Minisl.Lp.Opt mx ->
         Some (base + Rat.floor mn, base + Rat.ceil mx)
     | Minisl.Lp.Infeasible, _ | _, Minisl.Lp.Infeasible ->
@@ -672,8 +672,8 @@ let pair_dep (s : resolved) (d : resolved) kind =
   let feasible =
     List.filter_map
       (fun extra ->
-        let p = P.make n (base_cons @ extra) in
-        if Minisl.Lp.feasible p then Some p else None)
+        let cons = base_cons @ extra in
+        if Minisl.Lp.feasible n cons then Some (P.make n cons) else None)
       disjuncts
   in
   let dirs = Array.make c Dir.Dany in
@@ -686,20 +686,11 @@ let pair_dep (s : resolved) (d : resolved) kind =
                if i = ds + k then 1 else if i = k then -1 else 0))
           0
       in
-      (* exact LP bounds: [P.bounds] degrades to interval arithmetic
-         above its FM dimension limit, which here loses the equality
-         couplings between the x and y coordinates *)
-      let lp_max p a =
-        match Minisl.Lp.maximize p a with
-        | Minisl.Lp.Opt r -> Some r
-        | Minisl.Lp.Unbounded | Minisl.Lp.Infeasible -> None
-      in
       let lo = ref (Some Rat.zero) and hi = ref (Some Rat.zero) in
       let first = ref true in
       List.iter
         (fun p ->
-          let plo = Option.map Rat.neg (lp_max p (Af.neg obj))
-          and phi = lp_max p obj in
+          let plo, phi = P.bounds p obj in
           if !first then begin
             lo := plo;
             hi := phi;
@@ -751,8 +742,8 @@ let pair_dep (s : resolved) (d : resolved) kind =
         Array.iteri (fun j cj -> const := !const - (cj * delta.(j))) sc;
         cons := Cs.make Cs.Ge v !const :: !cons
       done;
-      let dom = P.make dd !cons in
-      if Minisl.Lp.feasible dom then
+      if Minisl.Lp.feasible dd !cons then
+        let dom = P.make dd !cons in
         let out =
           Array.init ds (fun k ->
               Af.of_int_coeffs (unit_vec dd k) (-delta.(k)))

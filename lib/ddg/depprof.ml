@@ -1,8 +1,5 @@
 type config = {
-  stmt_cap : int;
-  dep_cap : int;
   max_pieces : int;
-  track_reg_deps : bool;
   track_waw : bool;
   scev_prune : bool;
   boundary_splits : bool;
@@ -10,14 +7,20 @@ type config = {
 }
 
 let default_config =
-  { stmt_cap = 100_000;
-    dep_cap = 50_000;
-    max_pieces = 16;
-    track_reg_deps = true;
+  { max_pieces = 16;
     track_waw = false;
     scev_prune = true;
     boundary_splits = true;
     per_component_labels = true }
+
+(* buffered points per statement / dependence before widening *)
+let stmt_cap = 100_000
+let dep_cap = 50_000
+
+let make_collector config ~cap ~dim ~label_dim =
+  Fold.Collector.create ~cap ~max_pieces:config.max_pieces
+    ~boundary_splits:config.boundary_splits
+    ~per_component:config.per_component_labels ~dim ~label_dim ()
 
 type label_kind = Lvalue | Laddr | Lnone
 
@@ -316,14 +319,9 @@ let stmt_rec_of e ctx sid depth first_value =
         | k, _ -> k
       in
       let label_dim = match r_label with Lnone -> 0 | Lvalue | Laddr -> 1 in
-      let config = e.e_config in
       let r =
         { collector =
-            Fold.Collector.create ~cap:config.stmt_cap
-              ~max_pieces:config.max_pieces
-              ~boundary_splits:config.boundary_splits
-              ~per_component:config.per_component_labels ~dim:depth
-              ~label_dim ();
+            make_collector e.e_config ~cap:stmt_cap ~dim:depth ~label_dim;
           count = 0;
           r_cls =
             (match Vm.Prog.instr_at e.e_prog sid with
@@ -339,14 +337,10 @@ let dep_rec_of e key ~src_depth ~dst_depth =
   match Hashtbl.find_opt e.deps key with
   | Some r -> r
   | None ->
-      let config = e.e_config in
       let r =
         { d_collector =
-            Fold.Collector.create ~cap:config.dep_cap
-              ~max_pieces:config.max_pieces
-              ~boundary_splits:config.boundary_splits
-              ~per_component:config.per_component_labels ~dim:dst_depth
-              ~label_dim:src_depth ();
+            make_collector e.e_config ~cap:dep_cap ~dim:dst_depth
+              ~label_dim:src_depth;
           d_n = 0;
           dr_src_depth = src_depth;
           dr_dst_depth = dst_depth }
@@ -443,14 +437,13 @@ let on_exec e (ex : Vm.Event.exec) =
     end
   in
   let nreads = List.length ex.reads in
-  if config.track_reg_deps then
-    List.iteri
-      (fun slot reg ->
-        if owns_reg e reg then
-          match Shadow.last_reg_writer e.shadow ~reg with
-          | Some o -> record_dep ~slot Reg_dep o
-          | None -> ())
-      ex.reads;
+  List.iteri
+    (fun slot reg ->
+      if owns_reg e reg then
+        match Shadow.last_reg_writer e.shadow ~reg with
+        | Some o -> record_dep ~slot Reg_dep o
+        | None -> ())
+    ex.reads;
   (match ex.addr_read with
   | Some addr when (not pruned) && owns_addr e addr -> (
       match Shadow.last_mem_writer e.shadow ~addr with
@@ -567,12 +560,9 @@ let simulate_plan e (plan : static_plan) =
           | None ->
               let dr =
                 { d_collector =
-                    Fold.Collector.create ~cap:config.dep_cap
-                      ~max_pieces:config.max_pieces
-                      ~boundary_splits:config.boundary_splits
-                      ~per_component:config.per_component_labels
+                    make_collector config ~cap:dep_cap
                       ~dim:(Array.length dst_coords)
-                      ~label_dim:(Array.length src_coords) ();
+                      ~label_dim:(Array.length src_coords);
                   d_n = 0;
                   dr_src_depth = Array.length src_coords;
                   dr_dst_depth = Array.length dst_coords }
@@ -804,10 +794,7 @@ module Sharded = struct
     let dst_depth = Array.length first.p_coords in
     let src_depth = Array.length first.p_lab in
     let collector =
-      Fold.Collector.create ~cap:config.dep_cap ~max_pieces:config.max_pieces
-        ~boundary_splits:config.boundary_splits
-        ~per_component:config.per_component_labels ~dim:dst_depth
-        ~label_dim:src_depth ()
+      make_collector config ~cap:dep_cap ~dim:dst_depth ~label_dim:src_depth
     in
     Array.iter
       (fun p ->

@@ -10,10 +10,7 @@
     relations, SCEV-pruned (§5, "SCEV recognition"). *)
 
 type config = {
-  stmt_cap : int;  (** buffered points per statement before widening *)
-  dep_cap : int;
   max_pieces : int;
-  track_reg_deps : bool;
   track_waw : bool;  (** also record output (write-after-write) deps *)
   scev_prune : bool;  (** drop dep edges touching SCEV statements (§5) *)
   boundary_splits : bool;  (** folding ablation knob *)

@@ -99,21 +99,21 @@ let optimize d =
   in
   step ()
 
-(* Build the nonneg-variable system from a polyhedron and an objective:
-   every free dimension x_k becomes u_k - w_k with u, w >= 0. *)
-let build (p : Polyhedron.t) (objective : Affine.t) =
-  let dim = Polyhedron.dim p in
-  assert (Affine.dim objective = dim);
+(* Build the nonneg-variable system over [dim] free dimensions: every
+   x_k becomes u_k - w_k with u, w >= 0.  The objective is left zero;
+   [set_objective] installs one once the dictionary is feasible. *)
+let build dim cons =
   let cons =
     List.concat_map
       (fun (c : Constr.t) ->
+        assert (Constr.dim c = dim);
         (* v.x + cst >= 0  <=>  -v.x <= cst ; equalities give both rows *)
         match c.Constr.kind with
         | Constr.Ge -> [ (Array.map (fun x -> -x) c.Constr.v, c.Constr.c) ]
         | Constr.Eq ->
             [ (Array.map (fun x -> -x) c.Constr.v, c.Constr.c);
               (Array.copy c.Constr.v, -c.Constr.c) ])
-      (Polyhedron.constraints p)
+      cons
   in
   let m = List.length cons in
   let n = 2 * dim in
@@ -128,19 +128,13 @@ let build (p : Polyhedron.t) (objective : Affine.t) =
           a.(i).(dim + k) <- Rat.of_int (-v))
         row)
     cons;
-  let obj = Array.make n Rat.zero in
-  Array.iteri
-    (fun k c ->
-      obj.(k) <- c;
-      obj.(dim + k) <- Rat.neg c)
-    objective.Affine.coeffs;
   (* variable ids: 0..n-1 = structural, n..n+m-1 = slacks *)
   { basis = Array.init m (fun i -> n + i);
     nonbasis = Array.init n (fun j -> j);
     a;
     bval;
-    obj;
-    obj0 = objective.Affine.const }
+    obj = Array.make n Rat.zero;
+    obj0 = Rat.zero }
 
 (* Phase 1: make the dictionary feasible with an auxiliary variable. *)
 let make_feasible d =
@@ -199,25 +193,27 @@ let make_feasible d =
         keep;
       Array.blit d'.basis 0 d.basis 0 (Array.length d.basis);
       Array.blit d'.bval 0 d.bval 0 (Array.length d.bval);
-      (* re-express the original objective over the new nonbasis: the
-         original objective is linear in the structural variables; build
-         it from scratch by substituting basic rows *)
       true
     end
   end
 
-(* Express an objective (over variable ids) in the current dictionary. *)
-let set_objective d (coef_of_var : int -> Rat.t) const =
+(* Express [objective] over the current nonbasis: nonbasic structural
+   variables contribute directly, basic ones substitute their row. *)
+let set_objective d (objective : Affine.t) =
+  let dim = Affine.dim objective in
+  let coef_of_var v =
+    if v < dim then objective.Affine.coeffs.(v)
+    else if v < 2 * dim then Rat.neg objective.Affine.coeffs.(v - dim)
+    else Rat.zero
+  in
   let m = Array.length d.bval and n = Array.length d.obj in
   Array.fill d.obj 0 n Rat.zero;
-  d.obj0 <- const;
-  (* nonbasic structural variables contribute directly *)
+  d.obj0 <- objective.Affine.const;
   Array.iteri
     (fun j v ->
       let c = coef_of_var v in
       if not (Rat.is_zero c) then d.obj.(j) <- Rat.add d.obj.(j) c)
     d.nonbasis;
-  (* basic ones substitute their row *)
   for i = 0 to m - 1 do
     let c = coef_of_var d.basis.(i) in
     if not (Rat.is_zero c) then begin
@@ -228,42 +224,44 @@ let set_objective d (coef_of_var : int -> Rat.t) const =
     end
   done
 
-let maximize p objective =
-  let dim = Polyhedron.dim p in
-  let d = build p objective in
-  if not (make_feasible d) then Infeasible
-  else begin
-    let coef_of_var v =
-      if v < dim then objective.Affine.coeffs.(v)
-      else if v < 2 * dim then Rat.neg objective.Affine.coeffs.(v - dim)
-      else Rat.zero
-    in
-    set_objective d coef_of_var objective.Affine.const;
-    match optimize d with `Optimal -> Opt d.obj0 | `Unbounded -> Unbounded
-  end
+(* A feasible dictionary for [cons], or [None] when phase 1 proves the
+   system infeasible. *)
+let phase1 dim cons =
+  let d = build dim cons in
+  if make_feasible d then Some d else None
 
-let minimize p objective =
-  match maximize p (Affine.neg objective) with
+(* Phase 2 from a feasible dictionary; [d] is consumed. *)
+let phase2 d objective =
+  set_objective d objective;
+  match optimize d with `Optimal -> Opt d.obj0 | `Unbounded -> Unbounded
+
+let copy d =
+  { d with
+    basis = Array.copy d.basis;
+    nonbasis = Array.copy d.nonbasis;
+    a = Array.map Array.copy d.a;
+    bval = Array.copy d.bval;
+    obj = Array.copy d.obj }
+
+let maximize cons objective =
+  match phase1 (Affine.dim objective) cons with
+  | None -> Infeasible
+  | Some d -> phase2 d objective
+
+let minimize cons objective =
+  match maximize cons (Affine.neg objective) with
   | Opt v -> Opt (Rat.neg v)
   | (Unbounded | Infeasible) as r -> r
 
-let bounds p objective =
-  let lo =
-    match minimize p objective with
-    | Opt v -> Some v
-    | Unbounded -> None
-    | Infeasible -> invalid_arg "Lp.bounds: empty polyhedron"
-  in
-  let hi =
-    match maximize p objective with
-    | Opt v -> Some v
-    | Unbounded -> None
-    | Infeasible -> invalid_arg "Lp.bounds: empty polyhedron"
-  in
-  (lo, hi)
+let bounds cons objective =
+  match phase1 (Affine.dim objective) cons with
+  | None -> None
+  | Some d ->
+      let extreme d objective =
+        match phase2 d objective with Opt v -> Some v | _ -> None
+      in
+      let hi = extreme (copy d) objective in
+      let lo = Option.map Rat.neg (extreme d (Affine.neg objective)) in
+      Some (lo, hi)
 
-let feasible p =
-  match maximize p (Affine.const ~dim:(Polyhedron.dim p) Rat.zero) with
-  | Opt _ -> true
-  | Unbounded -> true
-  | Infeasible -> false
+let feasible dim cons = phase1 dim cons <> None

@@ -1,9 +1,12 @@
 (** Exact rational linear programming (two-phase primal simplex with
     Bland's rule, so termination is guaranteed).
 
-    Used as the exact optimisation engine for {!Polyhedron.bounds} in
-    dimensions where Fourier–Motzkin elimination would blow up; interval
-    propagation remains as the cheap first attempt. *)
+    The one engine behind {!Polyhedron.is_empty}, {!Polyhedron.bounds}
+    and {!Polyhedron.entails} in every dimension.  It works on a bare
+    constraint list so that [Polyhedron] can be built on top of it.
+    Every function raises [Rat.Overflow] when a pivot leaves native
+    rational range; {!Polyhedron} turns that into conservative answers,
+    direct callers see the exception. *)
 
 module Rat = Pp_util.Rat
 
@@ -12,19 +15,18 @@ type result =
   | Unbounded
   | Infeasible
 
-val maximize : Polyhedron.t -> Affine.t -> result
-(** Maximum of the affine objective over the (rational relaxation of
-    the) polyhedron. *)
+val maximize : Constr.t list -> Affine.t -> result
+(** Maximum of the affine objective over the rational points satisfying
+    every constraint.  The objective's dimension is the space's; every
+    constraint must have it. *)
 
-val minimize : Polyhedron.t -> Affine.t -> result
+val minimize : Constr.t list -> Affine.t -> result
 
-val bounds : Polyhedron.t -> Affine.t -> Rat.t option * Rat.t option
-(** [(min, max)]; [None] on the unbounded side.
-    @raise Invalid_argument if the polyhedron is empty (check
-    emptiness first, or use {!maximize} which reports [Infeasible]). *)
+val bounds : Constr.t list -> Affine.t -> (Rat.t option * Rat.t option) option
+(** [Some (min, max)], with [None] on an unbounded side, or [None] when
+    the constraints are infeasible.  Phase 1 runs once; both directions are
+    optimised from copies of the feasible dictionary. *)
 
-val feasible : Polyhedron.t -> bool
-(** Rational feasibility via phase 1 alone (a constant objective):
-    exact emptiness of the rational relaxation, cheaper and more robust
-    than eliminating down with {!Polyhedron.is_empty} in high
-    dimension. *)
+val feasible : int -> Constr.t list -> bool
+(** [feasible dim cons]: rational feasibility via phase 1 alone — exact
+    emptiness of the rational relaxation. *)

@@ -55,233 +55,40 @@ let intersect a b =
   assert (a.dim = b.dim);
   simplify { dim = a.dim; cons = a.cons @ b.cons }
 
-(* Split equalities into two inequalities for elimination purposes. *)
-let to_inequalities cons =
-  List.concat_map
-    (fun (c : Constr.t) ->
-      match c.kind with
-      | Constr.Ge -> [ c ]
-      | Constr.Eq ->
-          [ Constr.make Ge c.v c.c;
-            Constr.make Ge (Array.map (fun x -> -x) c.v) (-c.c) ])
-    cons
-
-(* Fourier-Motzkin elimination of a single dimension from inequalities. *)
-let fm_eliminate_one dimension cons k =
-  let lower = ref [] and upper = ref [] and rest = ref [] in
-  List.iter
-    (fun (c : Constr.t) ->
-      let a = c.v.(k) in
-      if a > 0 then lower := c :: !lower
-      else if a < 0 then upper := c :: !upper
-      else rest := c :: !rest)
-    cons;
-  let combined = ref [] in
-  List.iter
-    (fun (lo : Constr.t) ->
-      List.iter
-        (fun (up : Constr.t) ->
-          (* lo: a*x_k + e >= 0, a > 0; up: -b*x_k + f >= 0, b > 0
-             combine: b*e + a*f >= 0 *)
-          let a = lo.v.(k) and b = -up.v.(k) in
-          let v =
-            Array.init dimension (fun i ->
-                if i = k then 0 else (b * lo.v.(i)) + (a * up.v.(i)))
-          in
-          let c = (b * lo.c) + (a * up.c) in
-          combined := Constr.make Ge v c :: !combined)
-        !upper)
-    !lower;
-  !rest @ !combined
-
-let eliminate t ks =
-  let cons = ref (to_inequalities t.cons) in
-  List.iter (fun k -> cons := fm_eliminate_one t.dim !cons k) ks;
-  simplify { t with cons = !cons }
-
-let drop_dims t ks =
-  let p = eliminate t ks in
-  let keep =
-    List.filter (fun i -> not (List.mem i ks)) (List.init t.dim Fun.id)
-  in
-  let keep = Array.of_list keep in
-  let ndim = Array.length keep in
-  let remap (c : Constr.t) =
-    Constr.make c.kind (Array.map (fun i -> c.v.(i)) keep) c.c
-  in
-  make ndim (List.map remap p.cons)
-
-let fm_dim_limit = 4
-
-(* Per-dimension interval propagation for nest-shaped polyhedra: process
-   dimensions left to right; a constraint bounds dim d if its only other
-   non-zero coefficients are on earlier dims, whose intervals are already
-   known (interval arithmetic gives a sound, possibly loose, bound).
-   Fold-produced domains have exactly this triangular shape, so this is
-   exact for them; Fourier-Motzkin would blow up past ~5 dims. *)
-let interval_bounds t =
-  let n = t.dim in
-  let lo = Array.make n None and hi = Array.make n None in
-  let push_lo d (b : Rat.t) =
-    lo.(d) <- (match lo.(d) with None -> Some b | Some x -> Some (Rat.max x b))
-  in
-  let push_hi d (b : Rat.t) =
-    hi.(d) <- (match hi.(d) with None -> Some b | Some x -> Some (Rat.min x b))
-  in
-  for d = 0 to n - 1 do
-    List.iter
-      (fun (c : Constr.t) ->
-        let a = c.v.(d) in
-        let only_earlier =
-          a <> 0
-          &&
-          let ok = ref true in
-          Array.iteri (fun k v -> if k > d && v <> 0 then ok := false) c.v;
-          !ok
-        in
-        if only_earlier then begin
-          (* a*x_d + sum_{k<d} v_k x_k + cst >= 0 (or = 0) *)
-          let eval_rest min_or_max =
-            (* extreme value of sum v_k x_k + cst over earlier intervals *)
-            let acc = ref (Some (Rat.of_int c.c)) in
-            for k = 0 to d - 1 do
-              if c.v.(k) <> 0 then begin
-                let coef = Rat.of_int c.v.(k) in
-                let pick =
-                  (* for a lower bound on the rest take the minimum, etc. *)
-                  if (Rat.sign coef > 0) = min_or_max then hi.(k) else lo.(k)
-                in
-                match (!acc, pick) with
-                | Some a0, Some b -> acc := Some (Rat.add a0 (Rat.mul coef b))
-                | _ -> acc := None
-              end
-            done;
-            !acc
-          in
-          if a > 0 then begin
-            (* x_d >= -(rest)/a : strongest when rest is maximal *)
-            (match eval_rest true with
-            | Some r -> push_lo d (Rat.div (Rat.neg r) (Rat.of_int a))
-            | None -> ());
-            if c.kind = Constr.Eq then
-              match eval_rest false with
-              | Some r -> push_hi d (Rat.div (Rat.neg r) (Rat.of_int a))
-              | None -> ()
-          end
-          else begin
-            (match eval_rest true with
-            | Some r -> push_hi d (Rat.div r (Rat.of_int (-a)))
-            | None -> ());
-            if c.kind = Constr.Eq then
-              match eval_rest false with
-              | Some r -> push_lo d (Rat.div r (Rat.of_int (-a)))
-              | None -> ()
-          end
-        end)
-      t.cons
-  done;
-  (lo, hi)
-
-let interval_expr_bounds t (a : Affine.t) =
-  let lo, hi = interval_bounds t in
-  let lo_acc = ref (Some a.Affine.const) and hi_acc = ref (Some a.Affine.const) in
-  Array.iteri
-    (fun k coef ->
-      if not (Rat.is_zero coef) then begin
-        let pick_lo = if Rat.sign coef > 0 then lo.(k) else hi.(k) in
-        let pick_hi = if Rat.sign coef > 0 then hi.(k) else lo.(k) in
-        (match (!lo_acc, pick_lo) with
-        | Some acc, Some b -> lo_acc := Some (Rat.add acc (Rat.mul coef b))
-        | _ -> lo_acc := None);
-        match (!hi_acc, pick_hi) with
-        | Some acc, Some b -> hi_acc := Some (Rat.add acc (Rat.mul coef b))
-        | _ -> hi_acc := None
-      end)
-    a.Affine.coeffs;
-  (!lo_acc, !hi_acc)
-
+(* Emptiness, bounds and entailment all go to the exact rational
+   simplex.  [Rat.Overflow] yields the conservative answer for every
+   caller: non-empty, unbounded, not entailed. *)
 let is_empty t =
   let p = simplify t in
-  if p.cons = [] then false
-  else if p.dim > fm_dim_limit then begin
-    (* sound, incomplete emptiness for high dimension: empty interval on
-       some dim, or a constraint violated at the interval midpoint box *)
-    let lo, hi = interval_bounds p in
-    let empty_interval = ref false in
-    Array.iteri
-      (fun k l ->
-        match (l, hi.(k)) with
-        | Some a, Some b when Rat.compare a b > 0 -> empty_interval := true
-        | _ -> ())
-      lo;
-    !empty_interval
-  end
-  else
-    let q = eliminate p (List.init p.dim Fun.id) in
-    (* after eliminating everything, only constant constraints remain and
-       simplify collapses contradictions into the canonical empty set *)
-    List.exists
-      (fun (c : Constr.t) -> Pp_util.Vecint.is_zero c.v && c.c < 0)
-      q.cons
+  p.cons <> [] && try not (Lp.feasible p.dim p.cons) with Rat.Overflow -> false
 
 let is_universe t = (simplify t).cons = []
 
-(* FM-based exact optimisation, affordable in low dimension. *)
-let fm_bounds t (a : Affine.t) =
-  assert (Affine.dim a = t.dim);
-  let n = t.dim + 1 in
-  let ext (c : Constr.t) =
-    let v = Array.make n 0 in
-    Array.blit c.v 0 v 0 t.dim;
-    Constr.make c.kind v c.c
-  in
-  let obj =
-    (* t - expr = 0 where t is dim index t.dim *)
-    let e = Affine.extend a n in
-    let tvar = Affine.var ~dim:n t.dim in
-    Constr.of_affine Eq (Affine.sub tvar e)
-  in
-  let p = make n (obj :: List.map ext t.cons) in
-  let q = eliminate p (List.init t.dim Fun.id) in
-  let lo = ref None and hi = ref None in
-  List.iter
-    (fun (c : Constr.t) ->
-      let coef = c.v.(t.dim) in
-      let push_lo b = match !lo with None -> lo := Some b | Some x -> lo := Some (Rat.max x b) in
-      let push_hi b = match !hi with None -> hi := Some b | Some x -> hi := Some (Rat.min x b) in
-      if coef > 0 then
-        (* coef*t + c >= 0  =>  t >= -c/coef *)
-        push_lo (Rat.make (-c.c) coef)
-      else if coef < 0 then push_hi (Rat.make (-c.c) coef)
-      else ();
-      if c.kind = Constr.Eq && coef <> 0 then begin
-        push_lo (Rat.make (-c.c) coef);
-        push_hi (Rat.make (-c.c) coef)
-      end)
-    q.cons;
-  (!lo, !hi)
-
 let bounds t (a : Affine.t) =
+  assert (Affine.dim a = t.dim);
   if Affine.is_constant a then (Some a.Affine.const, Some a.Affine.const)
-  else if t.dim <= fm_dim_limit then fm_bounds t a
-  else interval_expr_bounds t a
+  else
+    match Lp.bounds t.cons a with
+    | Some b -> b
+    | None | (exception Rat.Overflow) -> (None, None)
 
 let dim_bounds t k = bounds t (Affine.var ~dim:t.dim k)
 
 let entails t (c : Constr.t) =
-  if is_empty t then true
-  else
-    let lo, hi = bounds t (Constr.affine c) in
-    match c.kind with
-    | Constr.Ge -> ( match lo with Some l -> Rat.sign l >= 0 | None -> false)
-    | Constr.Eq -> (
-        match (lo, hi) with
-        | Some l, Some h -> Rat.is_zero l && Rat.is_zero h
-        | _ -> false)
+  match Lp.bounds t.cons (Constr.affine c) with
+  | None -> true (* an empty set entails everything *)
+  | exception Rat.Overflow -> false
+  | Some (lo, hi) -> (
+      match c.kind with
+      | Constr.Ge -> ( match lo with Some l -> Rat.sign l >= 0 | None -> false)
+      | Constr.Eq -> (
+          match (lo, hi) with
+          | Some l, Some h -> Rat.is_zero l && Rat.is_zero h
+          | _ -> false))
 
 let is_subset a b =
   assert (a.dim = b.dim);
-  is_empty a || List.for_all (entails a) b.cons
+  List.for_all (entails a) b.cons
 
 let equal_set a b = is_subset a b && is_subset b a
 

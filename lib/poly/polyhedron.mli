@@ -1,10 +1,18 @@
 (** Convex integer polyhedra represented as conjunctions of affine
-    constraints, with the Fourier–Motzkin based operations needed by the
-    folding and feedback stages.
+    constraints, with the operations needed by the folding and feedback
+    stages.
 
     Emptiness, entailment and bounds are computed over the rational
-    relaxation.  Sets produced by folding are constructed from actual
-    integer points, so the relaxation is exact for them. *)
+    relaxation, in every dimension, by the exact simplex of {!Lp}.  Sets
+    produced by folding are constructed from actual integer points, so
+    the relaxation is exact for them.
+
+    {b Overflow policy.}  When the simplex leaves native rational range
+    ([Rat.Overflow]), {!is_empty} answers [false], {!bounds} answers
+    [(None, None)] and {!entails} answers [false].  These answers are
+    conservative for every caller (a dependence direction becomes
+    unknown, fusion is not legal, a verifier reports a violation, a set
+    is not a subset), so no caller needs to catch the exception. *)
 
 module Rat = Pp_util.Rat
 
@@ -21,14 +29,6 @@ val constraints : t -> Constr.t list
 val mem : t -> int array -> bool
 val add_constraint : t -> Constr.t -> t
 val intersect : t -> t -> t
-
-val eliminate : t -> int list -> t
-(** Existentially project out the given dimensions (Fourier–Motzkin); the
-    result has the same dimensionality, with those dims unconstrained. *)
-
-val drop_dims : t -> int list -> t
-(** [drop_dims p ks] eliminates dims [ks] and removes the coordinates,
-    yielding a polyhedron of dimension [dim p - List.length ks]. *)
 
 val is_empty : t -> bool
 val is_universe : t -> bool

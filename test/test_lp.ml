@@ -1,5 +1,6 @@
 (* Tests for the exact rational simplex, including cross-validation
-   against Fourier-Motzkin bounds on random low-dimensional polyhedra. *)
+   against rational vertex enumeration on random low-dimensional
+   polyhedra. *)
 
 module Rat = Pp_util.Rat
 module A = Minisl.Affine
@@ -8,14 +9,12 @@ module P = Minisl.Polyhedron
 module Lp = Minisl.Lp
 
 let box2 a b =
-  P.make 2
-    [ C.make Ge [| 1; 0 |] 0; C.make Ge [| -1; 0 |] a;
-      C.make Ge [| 0; 1 |] 0; C.make Ge [| 0; -1 |] b ]
+  [ C.make Ge [| 1; 0 |] 0; C.make Ge [| -1; 0 |] a;
+    C.make Ge [| 0; 1 |] 0; C.make Ge [| 0; -1 |] b ]
 
 let triangle n =
-  P.make 2
-    [ C.make Ge [| 1; 0 |] 0; C.make Ge [| -1; 0 |] n;
-      C.make Ge [| 0; 1 |] 0; C.make Ge [| 1; -1 |] 0 ]
+  [ C.make Ge [| 1; 0 |] 0; C.make Ge [| -1; 0 |] n;
+    C.make Ge [| 0; 1 |] 0; C.make Ge [| 1; -1 |] 0 ]
 
 let check_opt name expected = function
   | Lp.Opt v -> Alcotest.(check bool) name true (Rat.equal v (Rat.of_int expected))
@@ -38,20 +37,20 @@ let test_triangle () =
 let test_negative_orthant () =
   (* a polyhedron entirely in negative coordinates: phase 1 required *)
   let p =
-    P.make 1 [ C.make Ge [| -1 |] (-3); C.make Ge [| 1 |] 10 ]
+    [ C.make Ge [| -1 |] (-3); C.make Ge [| 1 |] 10 ]
     (* -x - 3 >= 0 (x <= -3) and x + 10 >= 0 (x >= -10) *)
   in
   check_opt "max x" (-3) (Lp.maximize p (A.of_int_coeffs [| 1 |] 0));
   check_opt "min x" (-10) (Lp.minimize p (A.of_int_coeffs [| 1 |] 0))
 
 let test_unbounded () =
-  let half = P.make 1 [ C.make Ge [| 1 |] 0 ] in
+  let half = [ C.make Ge [| 1 |] 0 ] in
   Alcotest.(check bool) "max x unbounded" true
     (Lp.maximize half (A.of_int_coeffs [| 1 |] 0) = Lp.Unbounded);
   check_opt "min x" 0 (Lp.minimize half (A.of_int_coeffs [| 1 |] 0))
 
 let test_infeasible () =
-  let p = P.make 1 [ C.make Ge [| 1 |] (-5); C.make Ge [| -1 |] 2 ] in
+  let p = [ C.make Ge [| 1 |] (-5); C.make Ge [| -1 |] 2 ] in
   (* x >= 5 and x <= 2 *)
   Alcotest.(check bool) "infeasible" true
     (Lp.maximize p (A.of_int_coeffs [| 1 |] 0) = Lp.Infeasible)
@@ -59,9 +58,8 @@ let test_infeasible () =
 let test_equalities () =
   (* x + y = 10, 0 <= x <= 4 *)
   let p =
-    P.make 2
-      [ C.make Eq [| 1; 1 |] (-10); C.make Ge [| 1; 0 |] 0;
-        C.make Ge [| -1; 0 |] 4 ]
+    [ C.make Eq [| 1; 1 |] (-10); C.make Ge [| 1; 0 |] 0;
+      C.make Ge [| -1; 0 |] 4 ]
   in
   check_opt "max y" 10 (Lp.maximize p (A.of_int_coeffs [| 0; 1 |] 0));
   check_opt "min y" 6 (Lp.minimize p (A.of_int_coeffs [| 0; 1 |] 0))
@@ -69,9 +67,8 @@ let test_equalities () =
 let test_rational_vertex () =
   (* 2x + 3y <= 12, 3x + 2y <= 12, x,y >= 0: max x+y at (12/5, 12/5) *)
   let p =
-    P.make 2
-      [ C.make Ge [| -2; -3 |] 12; C.make Ge [| -3; -2 |] 12;
-        C.make Ge [| 1; 0 |] 0; C.make Ge [| 0; 1 |] 0 ]
+    [ C.make Ge [| -2; -3 |] 12; C.make Ge [| -3; -2 |] 12;
+      C.make Ge [| 1; 0 |] 0; C.make Ge [| 0; 1 |] 0 ]
   in
   match Lp.maximize p (A.of_int_coeffs [| 1; 1 |] 0) with
   | Lp.Opt v ->
@@ -79,7 +76,7 @@ let test_rational_vertex () =
   | _ -> Alcotest.fail "expected optimum"
 
 let test_high_dim_box () =
-  (* 8-dimensional box: far beyond the FM limit *)
+  (* 8-dimensional box *)
   let n = 8 in
   let cons = ref [] in
   for d = 0 to n - 1 do
@@ -88,13 +85,62 @@ let test_high_dim_box () =
     dn.(d) <- -1;
     cons := C.make Ge up 0 :: C.make Ge dn (d + 1) :: !cons
   done;
-  let p = P.make n !cons in
+  let p = !cons in
   let all_ones = A.of_int_coeffs (Array.make n 1) 0 in
   check_opt "sum of maxes" 36 (Lp.maximize p all_ones);
   check_opt "min is 0" 0 (Lp.minimize p all_ones)
 
-(* cross-validate against FM-based bounds on random 2-3 dim polyhedra *)
-let prop_lp_equals_fm =
+(* Independent exact reference: the vertices of a bounded polyhedron,
+   each solved from a [dim]-subset of its constraints by Cramer's rule in
+   [Rat] and kept when it satisfies every constraint.  A bounded
+   polyhedron is empty iff it has no vertex, and a linear objective takes
+   its extremes at vertices. *)
+let rec det m =
+  let n = Array.length m in
+  if n = 1 then m.(0).(0)
+  else begin
+    let acc = ref Rat.zero in
+    for j = 0 to n - 1 do
+      let minor =
+        Array.init (n - 1) (fun i ->
+            Array.init (n - 1) (fun k ->
+                m.(i + 1).(if k < j then k else k + 1)))
+      in
+      let term = Rat.mul m.(0).(j) (det minor) in
+      acc := if j mod 2 = 0 then Rat.add !acc term else Rat.sub !acc term
+    done;
+    !acc
+  end
+
+let rec subsets k = function
+  | _ when k = 0 -> [ [] ]
+  | [] -> []
+  | x :: rest ->
+      List.map (fun s -> x :: s) (subsets (k - 1) rest) @ subsets k rest
+
+let vertices dim (cons : C.t list) =
+  let sat x c = Rat.sign (A.eval_rat (C.affine c) x) >= 0 in
+  List.filter_map
+    (fun (rows : C.t list) ->
+      let a =
+        Array.of_list (List.map (fun (c : C.t) -> Array.map Rat.of_int c.v) rows)
+      and b =
+        Array.of_list (List.map (fun (c : C.t) -> Rat.of_int (-c.c)) rows)
+      in
+      let d = det a in
+      if Rat.is_zero d then None
+      else
+        (* Cramer: x_k = det (a with column k replaced by b) / det a *)
+        let with_b k i row =
+          Array.mapi (fun j r -> if j = k then b.(i) else r) row
+        in
+        let x =
+          Array.init dim (fun k -> Rat.div (det (Array.mapi (with_b k) a)) d)
+        in
+        if List.for_all (sat x) cons then Some x else None)
+    (subsets dim cons)
+
+let prop_lp_equals_vertices =
   let gen =
     QCheck.Gen.(
       let* dim = int_range 2 3 in
@@ -106,9 +152,9 @@ let prop_lp_equals_fm =
       let* objc = list_size (return dim) (int_range (-3) 3) in
       return (dim, rows, objc))
   in
-  QCheck.Test.make ~name:"LP matches Fourier-Motzkin" ~count:300
+  QCheck.Test.make ~name:"LP matches vertex enumeration" ~count:300
     (QCheck.make gen) (fun (dim, rows, objc) ->
-      (* anchor with a box so most instances are feasible + bounded *)
+      (* anchor with a box so every instance is bounded *)
       let base = ref [] in
       for d = 0 to dim - 1 do
         let up = Array.make dim 0 and dn = Array.make dim 0 in
@@ -119,21 +165,23 @@ let prop_lp_equals_fm =
       let cons =
         List.map (fun (v, c) -> C.make Ge (Array.of_list v) c) rows @ !base
       in
-      let p = P.make dim cons in
       let obj = A.of_int_coeffs (Array.of_list objc) 0 in
-      if P.is_empty p then
-        Lp.maximize p obj = Lp.Infeasible
-      else begin
-        let fm_lo, fm_hi = P.bounds p obj in
-        let lp_lo, lp_hi = Lp.bounds p obj in
-        let agree a b =
-          match (a, b) with
-          | Some x, Some y -> Rat.equal x y
-          | None, None -> true
-          | _ -> false
-        in
-        agree fm_lo lp_lo && agree fm_hi lp_hi
-      end)
+      let p = P.make dim cons in
+      match List.map (A.eval_rat obj) (vertices dim cons) with
+      | [] ->
+          Lp.maximize cons obj = Lp.Infeasible
+          && Lp.bounds cons obj = None && P.is_empty p
+      | v :: vs ->
+          let lo = List.fold_left Rat.min v vs
+          and hi = List.fold_left Rat.max v vs in
+          let agree (l, h) =
+            match (l, h) with
+            | Some l, Some h -> Rat.equal l lo && Rat.equal h hi
+            | _ -> false
+          in
+          (match Lp.bounds cons obj with Some b -> agree b | None -> false)
+          && (not (P.is_empty p))
+          && agree (P.bounds p obj))
 
 let () =
   Alcotest.run "lp"
@@ -147,4 +195,4 @@ let () =
           Alcotest.test_case "equalities" `Quick test_equalities;
           Alcotest.test_case "rational vertex" `Quick test_rational_vertex;
           Alcotest.test_case "8-D box" `Quick test_high_dim_box ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_lp_equals_fm ]) ]
+      ("properties", [ QCheck_alcotest.to_alcotest prop_lp_equals_vertices ]) ]

@@ -43,13 +43,6 @@ let test_intersect () =
   Alcotest.(check bool) "(5,7) out" false (P.mem p [| 5; 7 |]);
   Alcotest.(check bool) "(11,0) out" false (P.mem p [| 11; 0 |])
 
-let test_eliminate () =
-  (* project the triangle on j: 0 <= j <= n *)
-  let t = triangle 5 in
-  let q = P.eliminate t [ 0 ] in
-  Alcotest.(check bool) "j=5 reachable" true (P.mem q [| 99; 5 |]);
-  Alcotest.(check bool) "j=6 not" false (P.mem q [| 99; 6 |])
-
 let test_bounds () =
   let t = triangle 5 in
   (* max of i + j over the triangle is 10, min is 0 *)
@@ -120,7 +113,7 @@ let test_hull () =
   Alcotest.(check int) "box count" 20 (P.count box)
 
 let test_interval_bounds_high_dim () =
-  (* 6-D boxes would blow up FM; interval propagation must handle them *)
+  (* a 6-D box: bounds and emptiness stay exact in higher dimension *)
   let n = 6 in
   let cons = ref [] in
   for d = 0 to n - 1 do
@@ -157,13 +150,6 @@ let test_add_constraint_and_universe () =
   Alcotest.(check bool) "still unbounded" true
     (snd (P.dim_bounds q 0) = None)
 
-let test_drop_dims () =
-  let t = triangle 5 in
-  let q = P.drop_dims t [ 1 ] in
-  Alcotest.(check int) "1-D result" 1 (P.dim q);
-  Alcotest.(check bool) "projection of i" true
-    (P.mem q [| 5 |] && not (P.mem q [| 6 |]))
-
 let test_translate_negative () =
   let t = P.translate (box2 2 2) [| -5; -5 |] in
   Alcotest.(check bool) "shifted down" true (P.mem t [| -4; -3 |]);
@@ -192,22 +178,29 @@ let test_pmap_restrict () =
     (Minisl.Pmap.is_empty
        (Minisl.Pmap.restrict_domain m (P.empty 2)))
 
+(* [-5, 5]^2 *)
+let box5 =
+  [ C.make Ge [| 1; 0 |] 5; C.make Ge [| -1; 0 |] 5;
+    C.make Ge [| 0; 1 |] 5; C.make Ge [| 0; -1 |] 5 ]
+
+let test_large_coefficients_nonempty () =
+  (* products of these coefficients leave native range: the answer must
+     stay sound (non-empty), never a wrapped "empty" *)
+  let p =
+    P.make 2
+      (C.make Ge [| 4294967435; -1073742701 |] (-868)
+      :: C.make Ge [| -1073742501; 1073741970 |] (-319)
+      :: box5)
+  in
+  Alcotest.(check bool) "(4,5) is a member" true (P.mem p [| 4; 5 |]);
+  Alcotest.(check bool) "not empty" false (P.is_empty p)
+
 (* properties *)
 
 let arb_box =
   QCheck.map
     (fun (a, b) -> (abs a mod 8, abs b mod 8))
     (QCheck.pair QCheck.int QCheck.int)
-
-let prop_elim_preserves_membership =
-  QCheck.Test.make ~name:"FM elimination preserves membership" ~count:200
-    (QCheck.pair arb_box (QCheck.pair QCheck.small_nat QCheck.small_nat))
-    (fun ((a, b), (x, y)) ->
-      let p = P.intersect (box2 a b) (triangle (a + b)) in
-      let pt = [| x mod (a + 1); y mod (b + 1) |] in
-      QCheck.assume (P.mem p pt);
-      (* any point of p remains a point of every projection of p *)
-      P.mem (P.eliminate p [ 0 ]) pt && P.mem (P.eliminate p [ 1 ]) pt)
 
 let prop_subset_refl_trans =
   QCheck.Test.make ~name:"subset reflexive + box monotone" ~count:100 arb_box
@@ -230,13 +223,43 @@ let prop_hull_contains =
       let box = Hull.box_of_points pts in
       List.for_all (P.mem box) pts)
 
+let prop_large_coefficients_sound =
+  let big =
+    QCheck.Gen.(
+      map2 (fun s m -> if s then m else -m) bool
+        (int_range (1 lsl 30) (1 lsl 33)))
+  in
+  let row = QCheck.Gen.(triple big big (int_range (-1000) 1000)) in
+  QCheck.Test.make
+    ~name:"large coefficients: emptiness and bounds stay sound" ~count:200
+    (QCheck.make QCheck.Gen.(pair row row))
+    (fun ((a0, a1, c), (b0, b1, d)) ->
+      let p =
+        P.make 2
+          (C.make Ge [| a0; a1 |] c :: C.make Ge [| b0; b1 |] d :: box5)
+      in
+      let pts =
+        List.concat_map
+          (fun x -> List.map (fun y -> [| x; y |]) (List.init 11 (fun y -> y - 5)))
+          (List.init 11 (fun x -> x - 5))
+        |> List.filter (P.mem p)
+      in
+      QCheck.assume (pts <> []);
+      let contains k (pt : int array) =
+        let lo, hi = P.dim_bounds p k in
+        let x = Rat.of_int pt.(k) in
+        Option.fold ~none:true ~some:(fun l -> Rat.compare l x <= 0) lo
+        && Option.fold ~none:true ~some:(fun h -> Rat.compare x h <= 0) hi
+      in
+      (not (P.is_empty p))
+      && List.for_all (fun pt -> contains 0 pt && contains 1 pt) pts)
+
 let () =
   Alcotest.run "poly"
     [ ( "unit",
         [ Alcotest.test_case "membership" `Quick test_mem;
           Alcotest.test_case "emptiness" `Quick test_emptiness;
           Alcotest.test_case "intersect" `Quick test_intersect;
-          Alcotest.test_case "eliminate" `Quick test_eliminate;
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "entails/subset" `Quick test_entails_subset;
           Alcotest.test_case "count" `Quick test_count_points;
@@ -251,11 +274,12 @@ let () =
             test_constr_canonical;
           Alcotest.test_case "add_constraint/universe" `Quick
             test_add_constraint_and_universe;
-          Alcotest.test_case "drop_dims" `Quick test_drop_dims;
           Alcotest.test_case "translate negative" `Quick test_translate_negative;
           Alcotest.test_case "pset intersect" `Quick test_pset_intersect;
-          Alcotest.test_case "pmap restrict" `Quick test_pmap_restrict ] );
+          Alcotest.test_case "pmap restrict" `Quick test_pmap_restrict;
+          Alcotest.test_case "large coefficients: non-empty" `Quick
+            test_large_coefficients_nonempty ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_elim_preserves_membership; prop_subset_refl_trans;
-            prop_count_box; prop_hull_contains ] ) ]
+          [ prop_subset_refl_trans; prop_count_box; prop_hull_contains;
+            prop_large_coefficients_sound ] ) ]
