@@ -34,12 +34,17 @@ val depth : t -> int
 (** Number of iv dimensions. *)
 
 val coords : t -> int array
-(** Current induction-variable vector, outermost first.  Fresh array. *)
+(** Current induction-variable vector, outermost first.  The same array
+    is returned until an [Enter], [Iterate] or [Exit] changes the
+    vector; each change makes a fresh array and never mutates one handed
+    out before.  Callers may keep the array (folding collectors, shadow
+    origins and buffered edges do) but must not mutate it. *)
 
 val context : t -> context
 val context_id : t -> int
-(** Interned id of the current context.  The intern table is
-    domain-local: domains that perform the same sequence of
+(** Interned id of the current context: one array read once the context
+    has been seen.  The intern table is domain-local (an IIV uses the
+    table of the domain that created it): domains that perform the same sequence of
     {!context_id} calls (e.g. parallel profilers replaying one event
     stream) assign the same ids independently. *)
 

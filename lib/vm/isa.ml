@@ -51,6 +51,7 @@ module Sid = struct
   let fid t = (t lsr (2 * bits)) land mask
   let bid t = (t lsr bits) land mask
   let idx t = t land mask
+  let width = 3 * bits
   let pp fmt t = Format.fprintf fmt "f%d.b%d.i%d" (fid t) (bid t) (idx t)
   let to_string t = Format.asprintf "%a" pp t
 end

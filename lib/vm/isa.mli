@@ -50,6 +50,10 @@ module Sid : sig
   val fid : t -> int
   val bid : t -> int
   val idx : t -> int
+
+  val width : int
+  (** Bits a packed sid occupies: every sid is in [\[0, 2^width)]. *)
+
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end
