@@ -67,9 +67,7 @@ let same_cfg_loop a fid (l : Cfg.Loopnest.loop) =
   | Rec_comp _ -> false
 
 (* Algorithm 1: loop events from a local jump. *)
-let on_jump st ~fid ~dst =
-  let events = ref [] in
-  let emit e = events := e :: !events in
+let on_jump st ~fid ~dst emit =
   (* exit live loops of the current frame that do not contain [dst] *)
   let rec pop_exited () =
     match st.stack with
@@ -91,13 +89,10 @@ let on_jump st ~fid ~dst =
           st.stack <- Loop_live lr :: st.stack;
           emit (Enter (lr, fid, dst)))
   | None -> ());
-  emit (Block (fid, dst));
-  List.rev !events
+  emit (Block (fid, dst))
 
 (* Algorithm 2, call part. *)
-let on_call st ~callee =
-  let events = ref [] in
-  let emit e = events := e :: !events in
+let on_call st ~callee emit =
   let recset = st.structure.Cfg.Cfg_builder.recset in
   (match Cfg.Recset.component_of recset callee with
   | Some c when Cfg.Recset.is_entry recset callee && (comp_state st c).centry = None
@@ -129,13 +124,10 @@ let on_call st ~callee =
       cs.stackcount <- cs.stackcount + 1;
       emit (Iterate (Rec_comp c, callee, 0))
   | Some _ | None -> emit (Call_push (callee, 0)));
-  st.stack <- Frame callee :: st.stack;
-  List.rev !events
+  st.stack <- Frame callee :: st.stack
 
 (* Algorithm 2, return part. *)
-let on_return st ~callee ~caller ~dst =
-  let events = ref [] in
-  let emit e = events := e :: !events in
+let on_return st ~callee ~caller ~dst emit =
   (* exit the returning function's still-live CFG loops, then pop its
      frame marker *)
   let rec unwind () =
@@ -181,8 +173,7 @@ let on_return st ~callee ~caller ~dst =
               let lr = Cfg_loop { l_fid = caller; loop = l } in
               st.stack <- Loop_live lr :: st.stack;
               emit (Enter (lr, caller, dst)))
-      | None -> ()));
-  List.rev !events
+      | None -> ()))
 
 let start st =
   if st.started then []
@@ -191,16 +182,22 @@ let start st =
     [ Block (st.main, 0) ]
   end
 
-let feed st (ev : Vm.Event.control) =
-  let prefix = start st in
-  let events =
-    match ev with
-    | Vm.Event.Jump { fid; src = _; dst } -> on_jump st ~fid ~dst
-    | Vm.Event.Call { caller = _; site = _; callee; dst = _ } ->
-        on_call st ~callee
-    | Vm.Event.Return { callee; caller; dst } -> on_return st ~callee ~caller ~dst
-  in
-  prefix @ events
+let feed_into st (ev : Vm.Event.control) emit =
+  if not st.started then begin
+    st.started <- true;
+    emit (Block (st.main, 0))
+  end;
+  match ev with
+  | Vm.Event.Jump { fid; src = _; dst } -> on_jump st ~fid ~dst emit
+  | Vm.Event.Call { caller = _; site = _; callee; dst = _ } ->
+      on_call st ~callee emit
+  | Vm.Event.Return { callee; caller; dst } ->
+      on_return st ~callee ~caller ~dst emit
+
+let feed st ev =
+  let events = ref [] in
+  feed_into st ev (fun e -> events := e :: !events);
+  List.rev !events
 
 let finish st =
   let events = ref [] in

@@ -34,6 +34,10 @@ val start : state -> t list
 val feed : state -> Vm.Event.control -> t list
 (** Translate one raw control event into its loop events, in order. *)
 
+val feed_into : state -> Vm.Event.control -> (t -> unit) -> unit
+(** {!feed}, handing each loop event to the callback in order instead
+    of building a list. *)
+
 val finish : state -> t list
 (** Exit events for loops still live at the end of the trace. *)
 

@@ -19,10 +19,17 @@ type t
 val create : unit -> t
 val record : t -> ctx_key:int -> Iiv.context -> weight:int -> unit
 (** Attribute [weight] dynamic instructions to the leaf reached by the
-    flattened context path; memoised on [ctx_key]. *)
+    flattened context path; memoised on [ctx_key] (a dense id, e.g.
+    {!Iiv.context_id}). *)
 
-val record_iteration : t -> ctx_key:int -> Iiv.context -> unit
-(** Bump the iteration count of the innermost loop node of the context. *)
+val record_id : t -> ctx_key:int -> weight:int -> unit
+(** {!record} for the context interned as [ctx_key] in the calling
+    domain: the context is looked up ({!Iiv.context_of_id}) only on
+    the first call for [ctx_key], and later calls allocate nothing. *)
+
+val record_iteration : t -> ctx_key:int -> unit
+(** Bump the iteration count of the innermost loop node of the context
+    interned as [ctx_key] (resolved like {!record_id}). *)
 
 val root : t -> node
 val total_weight : node -> int
