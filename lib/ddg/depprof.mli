@@ -53,6 +53,16 @@ type dep_info = {
   dst_depth : int;
 }
 
+(** {2 Event-path keys}
+
+    The engine interns each statement [(context, sid)] to a dense
+    statement id, and each dependence to an id over (source statement
+    id, destination statement id, kind), in open-addressing int tables
+    ({!Pp_util.Int_table}) under these keys. *)
+
+val stmt_code : ctx:int -> sid:Vm.Isa.Sid.t -> int
+val dep_code : src:int -> dst:int -> dep_kind -> int
+
 (** {2 Witness checks (speculative pruning)}
 
     The static engine may prune a region whose polyhedral model holds
