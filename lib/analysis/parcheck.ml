@@ -373,7 +373,7 @@ let inside_blocks (prog : Vm.Prog.t) fid (lp : L.loop) =
     lp.L.members;
   inside
 
-let certify (sd : Sd.t) ~fid ~header =
+let certify_exn (sd : Sd.t) ~fid ~header =
   let prog = sd.Sd.prog in
   if fid < 0 || fid >= Array.length prog.funcs then Unknown "no such function"
   else begin
@@ -602,6 +602,12 @@ let certify (sd : Sd.t) ~fid ~header =
                     end
                   end))
   end
+
+(* the dependence polyhedra are decided by the exact LP, which raises
+   when a pivot leaves native rational range: the claim is then out of
+   reach, never certified *)
+let certify sd ~fid ~header =
+  try certify_exn sd ~fid ~header with Rat.Overflow -> Unknown "arith-overflow"
 
 let certify_loc (sd : Sd.t) ?fid loc =
   let prog = sd.Sd.prog in

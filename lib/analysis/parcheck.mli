@@ -78,7 +78,8 @@ type t = {
 val certify : Statdep.t -> fid:int -> header:int -> verdict
 (** Certify the loop of function [fid] whose header block is
     [header]. [Unknown] when the loop is not a chain dimension of the
-    static model. *)
+    static model, and [Unknown "arith-overflow"] when an exact LP over
+    its dependence polyhedra leaves native rational range. *)
 
 val certify_loc : Statdep.t -> ?fid:int -> Vm.Prog.loc -> verdict
 (** Certify the chain loop whose header carries the given source

@@ -7,7 +7,14 @@ module Cs = Minisl.Constr
 module Af = Minisl.Affine
 module Rat = Pp_util.Rat
 
-type reason = R_nonaffine | R_loop | R_cond | R_call | R_range | R_header
+type reason =
+  | R_nonaffine
+  | R_loop
+  | R_cond
+  | R_call
+  | R_range
+  | R_header
+  | R_overflow
 
 let reason_code = function
   | R_nonaffine -> "nonaffine"
@@ -16,6 +23,7 @@ let reason_code = function
   | R_call -> "call"
   | R_range -> "range"
   | R_header -> "header"
+  | R_overflow -> "arith-overflow"
 
 type resolved = {
   r_sid : Vm.Isa.Sid.t;
@@ -343,21 +351,20 @@ let domain_rows n ~offset (bounds : (int * int array) array) =
   !rows
 
 (* exact inclusive address range of [base + coefs . x] over the
-   iteration domain, by rational LP (floor/ceil keeps the integer hull
-   inside) *)
+   iteration domain, by one rational LP (floor/ceil keeps the integer
+   hull inside); [None] when a side is unbounded.
+   @raise Rat.Overflow when the simplex leaves native range *)
 let addr_range bounds base coefs =
   let nd = Array.length bounds in
   if nd = 0 then Some (base, base)
   else
     let rows = domain_rows nd ~offset:0 bounds in
-    let obj = Af.of_int_coeffs coefs 0 in
-    match (Minisl.Lp.minimize rows obj, Minisl.Lp.maximize rows obj) with
-    | Minisl.Lp.Opt mn, Minisl.Lp.Opt mx ->
-        Some (base + Rat.floor mn, base + Rat.ceil mx)
-    | Minisl.Lp.Infeasible, _ | _, Minisl.Lp.Infeasible ->
+    match Minisl.Lp.bounds rows (Af.of_int_coeffs coefs 0) with
+    | Some (Some mn, Some mx) -> Some (base + Rat.floor mn, base + Rat.ceil mx)
+    | None ->
         (* empty iteration domain: the access never executes *)
         Some (base, base)
-    | _ -> None
+    | Some _ -> None
 
 let resolve_access b fi dims ~bid ?spec (a : AC.access) out =
   match a.AC.acc_addr with
@@ -366,6 +373,7 @@ let resolve_access b fi dims ~bid ?spec (a : AC.access) out =
       | Some (base, coefs) -> (
           let bounds = bounds_of dims in
           match addr_range bounds base coefs with
+          | exception Rat.Overflow -> set_reason b a.AC.acc_sid R_overflow
           | None -> set_reason b a.AC.acc_sid R_range
           | Some (lo, hi) ->
               let region = Points_to.region_of_addr b.b_pta lo in
@@ -782,6 +790,47 @@ let live_funcs (prog : Vm.Prog.t) (frs : AC.func_result array) =
   visit prog.main;
   live
 
+(* Static dependence summaries over resolved same-region pairs.  A pair
+   whose polyhedra leave native rational range demotes both accesses to
+   unresolved ([R_overflow]), before prunability is decided. *)
+let pair_deps b =
+  let by_region = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun _ (r : resolved) ->
+      if r.r_region > 0 then
+        Hashtbl.replace by_region r.r_region
+          (r :: Option.value ~default:[] (Hashtbl.find_opt by_region r.r_region)))
+    b.b_resolved;
+  let pairs = ref [] in
+  let overflowed = Hashtbl.create 4 in
+  Hashtbl.iter
+    (fun _ accs ->
+      let accs = List.sort (fun a b' -> compare a.r_sid b'.r_sid) accs in
+      List.iter
+        (fun s ->
+          if s.r_store then
+            List.iter
+              (fun d ->
+                let kind = if d.r_store then Dp.Out_dep else Dp.Mem_dep in
+                match pair_dep s d kind with
+                | p -> pairs := p :: !pairs
+                | exception Rat.Overflow ->
+                    Hashtbl.replace overflowed s.r_sid ();
+                    Hashtbl.replace overflowed d.r_sid ())
+              accs)
+        accs)
+    by_region;
+  Hashtbl.iter
+    (fun sid () ->
+      Hashtbl.remove b.b_resolved sid;
+      Hashtbl.replace b.b_reason sid R_overflow)
+    overflowed;
+  List.filter
+    (fun p -> not (Hashtbl.mem overflowed p.pd_src || Hashtbl.mem overflowed p.pd_dst))
+    !pairs
+  |> List.sort (fun a b' ->
+         compare (a.pd_src, a.pd_dst, a.pd_kind) (b'.pd_src, b'.pd_dst, b'.pd_kind))
+
 let analyse ?(speculate = false) ?(directions = []) (prog : Vm.Prog.t) =
   Obs.Span.with_ ~cat:"analysis" "analysis.statdep" @@ fun () ->
   let pta = Points_to.analyse prog in
@@ -816,6 +865,7 @@ let analyse ?(speculate = false) ?(directions = []) (prog : Vm.Prog.t) =
   emit_func b prog.main [] out ~visiting:[ prog.main ];
   let items = List.rev !out in
   assign_sched b ~sched_rev:[] items;
+  let pairs = pair_deps b in
   (* live reachable accesses; resolution status *)
   let n_accesses = ref 0 in
   let unresolved = ref [] in
@@ -949,34 +999,6 @@ let analyse ?(speculate = false) ?(directions = []) (prog : Vm.Prog.t) =
       sp_resolved;
       sp_witnesses;
       sp_mem_size = prog.mem_size }
-  in
-  (* static dependence summaries over resolved same-region pairs *)
-  let by_region = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ (r : resolved) ->
-      if r.r_region > 0 then
-        Hashtbl.replace by_region r.r_region
-          (r :: Option.value ~default:[] (Hashtbl.find_opt by_region r.r_region)))
-    b.b_resolved;
-  let pairs = ref [] in
-  Hashtbl.iter
-    (fun _ accs ->
-      let accs = List.sort (fun a b' -> compare a.r_sid b'.r_sid) accs in
-      List.iter
-        (fun s ->
-          if s.r_store then
-            List.iter
-              (fun d ->
-                let kind = if d.r_store then Dp.Out_dep else Dp.Mem_dep in
-                pairs := pair_dep s d kind :: !pairs)
-              accs)
-        accs)
-    by_region;
-  let pairs =
-    List.sort
-      (fun a b' ->
-        compare (a.pd_src, a.pd_dst, a.pd_kind) (b'.pd_src, b'.pd_dst, b'.pd_kind))
-      !pairs
   in
   { prog;
     pta;

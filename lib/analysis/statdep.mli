@@ -48,6 +48,9 @@ type reason =
   | R_call  (** unmodelable call-chain position (multi-site, recursive) *)
   | R_range  (** address range not within a single named region *)
   | R_header  (** access in a loop header (executes trip+1 times) *)
+  | R_overflow
+      (** the exact LP over the access' address range or dependence
+          polyhedra left native rational range ([Rat.Overflow]) *)
 
 val reason_code : reason -> string
 

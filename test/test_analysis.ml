@@ -955,6 +955,70 @@ let test_sweep_all_workloads () =
             (List.length r.Analysis.Crosscheck.violations))
     ws
 
+(* Large address coefficients overflow the exact LP: with 2^61 the one
+   bounding the access' address range, with 2^40 (the range fits a
+   2^44-word array) the one deciding the store's output dependence on
+   itself.  Either way the store comes out unresolved with reason
+   [R_overflow] instead of [Rat.Overflow] escaping the analysis. *)
+let test_statdep_large_coefficient () =
+  let check name hir =
+    let sd = Analysis.Statdep.analyse (H.lower hir) in
+    Alcotest.(check (list string)) (name ^ ": the store is unresolved")
+      [ "arith-overflow" ]
+      (List.map
+         (fun (_, _, r) -> Analysis.Statdep.reason_code r)
+         sd.Analysis.Statdep.unresolved);
+    Alcotest.(check (list string)) (name ^ ": no region prunable") []
+      (Analysis.Statdep.prunable_regions sd)
+  in
+  check "address range"
+    { H.funs =
+        [ H.fundef "main" []
+            [ H.for_ "i" (i 0) (i 5)
+                [ store "a" (v "i" *! i (1 lsl 61)) (i 1) ] ] ];
+      arrays = [ ("a", 8) ];
+      main = "main" };
+  check "dependence polyhedron"
+    { H.funs =
+        [ H.fundef "main" []
+            [ H.for_ "i" (i 0) (i 5)
+                [ H.for_ "j" (i 0) (i 5)
+                    [ store "a" ((v "i" *! i (1 lsl 40)) +! v "j") (i 1) ] ] ] ];
+      arrays = [ ("a", 1 lsl 44) ];
+      main = "main" }
+
+(* gemm's static model with every address coefficient scaled past
+   2^30: deciding the loop-carried polyhedra overflows the exact LP,
+   and those dims answer [Unknown "arith-overflow"], never Certified *)
+let test_parcheck_large_coefficients () =
+  let sd = Analysis.Statdep.analyse (H.lower Workloads.Polybench.gemm.Workloads.Workload.hir) in
+  let resolved = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun sid (r : Analysis.Statdep.resolved) ->
+      Hashtbl.replace resolved sid
+        { r with
+          Analysis.Statdep.r_coefs =
+            Array.mapi
+              (fun k c -> c * (1073741827 + (k * 4294967435)))
+              r.Analysis.Statdep.r_coefs })
+    sd.Analysis.Statdep.resolved;
+  let sd = { sd with Analysis.Statdep.resolved } in
+  let dims = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun _ (r : Analysis.Statdep.resolved) ->
+      Array.iter (fun fh -> Hashtbl.replace dims fh ()) r.Analysis.Statdep.r_dims)
+    resolved;
+  let overflowed =
+    Hashtbl.fold
+      (fun (fid, header) () n ->
+        match PC.certify sd ~fid ~header with
+        | PC.Unknown "arith-overflow" -> n + 1
+        | PC.Certified _ | PC.Race _ | PC.Unknown _ -> n)
+      dims 0
+  in
+  Alcotest.(check bool) "some dim answers Unknown arith-overflow" true
+    (overflowed > 0)
+
 let () =
   Alcotest.run "analysis"
     [ ( "verifier",
@@ -1015,7 +1079,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_affine_static_sound;
           QCheck_alcotest.to_alcotest prop_triangular_static_sound;
           Alcotest.test_case "pruned == unpruned on every workload" `Slow
-            test_prune_equal_all_workloads ] );
+            test_prune_equal_all_workloads;
+          Alcotest.test_case "large coefficient: unresolved, no overflow"
+            `Quick test_statdep_large_coefficient ] );
       ( "parcheck",
         [ Alcotest.test_case "gemm fully certified (k as reduction)" `Quick
             test_parcheck_gemm;
@@ -1028,7 +1094,9 @@ let () =
           Alcotest.test_case "seeded privatisation certificate" `Quick
             test_parcheck_seeded_private;
           QCheck_alcotest.to_alcotest prop_reduction_certifies;
-          QCheck_alcotest.to_alcotest prop_seeded_race_never_certifies ] );
+          QCheck_alcotest.to_alcotest prop_seeded_race_never_certifies;
+          Alcotest.test_case "large coefficients: Unknown, never certified"
+            `Quick test_parcheck_large_coefficients ] );
       ( "polly-agreement",
         [ Alcotest.test_case "figure 3" `Quick test_agreement_figure3;
           Alcotest.test_case "rodinia kernels" `Quick test_agreement_rodinia ] );
