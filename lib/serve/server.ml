@@ -241,11 +241,16 @@ let handle engine (rq : Http.request) : action =
 (* Accept loop                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The socket file appears at [path] only once it accepts connections:
+   bind a temporary name, listen, then rename it into place, so a client
+   that waits for the file never meets "Connection refused". *)
 let listen_unix path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+  (try Unix.unlink tmp with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.bind fd (Unix.ADDR_UNIX tmp);
   Unix.listen fd 64;
+  Unix.rename tmp path;
   fd
 
 let listen_tcp port =

@@ -581,6 +581,36 @@ let test_end_to_end () =
     (fun ev -> check sb ("log has " ^ ev) true (contains log ev))
     [ "serve.start"; "serve.job.done"; "serve.job.hit"; "serve.stop" ]
 
+(* The socket file appears only once the daemon listens: a client that
+   connects the moment the file exists is served, with no retry. *)
+let test_connect_when_socket_appears () =
+  let dir = tmpdir "polyprof_bind" in
+  let sock = Filename.concat dir "polyprof.sock" in
+  let config =
+    { Serve.Server.socket_path = sock;
+      tcp_port = None;
+      log_json = None;
+      engine = { E.default_config with E.workers = 1 } }
+  in
+  let daemon = Domain.spawn (fun () -> Serve.Server.serve ~quiet:true config) in
+  let rec wait tries =
+    if not (Sys.file_exists sock) then begin
+      if tries = 0 then Alcotest.fail "socket file never appeared";
+      Unix.sleepf 0.0005;
+      wait (tries - 1)
+    end
+  in
+  wait 20_000;
+  let ep = Serve.Client.Unix_sock sock in
+  (match Serve.Client.request ep ~meth:"GET" ~path:"/healthz" () with
+  | Ok { Serve.Http.rs_status = 200; _ } -> ()
+  | Ok rs -> Alcotest.failf "healthz HTTP %d" rs.Serve.Http.rs_status
+  | Error e -> Alcotest.failf "first connection failed: %s" e);
+  (match Serve.Client.request ep ~meth:"POST" ~path:"/shutdown" () with
+  | Ok { Serve.Http.rs_status = 200; _ } -> ()
+  | _ -> Alcotest.fail "shutdown failed");
+  Domain.join daemon
+
 let () =
   Alcotest.run "serve"
     [ ( "prog_hash",
@@ -609,5 +639,8 @@ let () =
             test_engine_backpressure ] );
       ( "http",
         [ Alcotest.test_case "request round-trip" `Quick test_http_roundtrip ] );
-      ("e2e", [ Alcotest.test_case "unix socket session" `Quick test_end_to_end ])
+      ( "e2e",
+        [ Alcotest.test_case "unix socket session" `Quick test_end_to_end;
+          Alcotest.test_case "connect as soon as the socket exists" `Quick
+            test_connect_when_socket_appears ] )
     ]
