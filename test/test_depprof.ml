@@ -249,6 +249,23 @@ let test_fold_golden () =
           Alcotest.(check string) (name ^ " fold digest") expected got)
     golden_digests
 
+(* Allocation guard for Instrumentation II: the whole profile of gemm,
+   event loop and finalize, stays within 140 minor words per dynamic
+   instruction (the engine that built key records, closures and a fresh
+   iteration vector per event took 204). *)
+let test_gemm_minor_words () =
+  let prog = H.lower Workloads.Polybench.gemm.Workloads.Workload.hir in
+  let structure = Cfg.Cfg_builder.run prog in
+  let w0 = Gc.minor_words () in
+  let res = Ddg.Depprof.profile prog ~structure in
+  let words = Gc.minor_words () -. w0 in
+  let per_instr =
+    words /. float_of_int res.Ddg.Depprof.run_stats.Vm.Interp.dyn_instrs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per instruction <= 140" per_instr)
+    true (per_instr <= 140.)
+
 let () =
   Alcotest.run "depprof"
     [ ( "shadow",
@@ -271,4 +288,6 @@ let () =
             test_counts_match_interpreter ] );
       ( "golden",
         [ Alcotest.test_case "fold digests (gemm lu backprop bfs lavaMD)"
-            `Quick test_fold_golden ] ) ]
+            `Quick test_fold_golden;
+          Alcotest.test_case "gemm allocates <= 140 minor words per instruction"
+            `Quick test_gemm_minor_words ] ) ]

@@ -207,6 +207,62 @@ let test_rendering () =
   Iiv.update iiv (LE.Call_push (1, 0));
   Alcotest.(check string) "call pushes" "(f0.b0/f1.b0)" (Iiv.to_string iiv)
 
+(* Over random loop-event sequences, every array [Iiv.coords] hands
+   out keeps its contents after later updates, and equals the vector
+   recomputed from scratch from the events seen so far. *)
+let prop_shared_coords =
+  let loop k =
+    LE.Cfg_loop
+      { l_fid = 0;
+        loop =
+          { Cfg.Loopnest.loop_id = k;
+            header = k;
+            members = [ k ];
+            back_edges = [];
+            children = [];
+            depth = 1;
+            parent_id = None } }
+  in
+  let event (tag, k) =
+    match tag with
+    | 0 -> LE.Enter (loop k, 0, k)
+    | 1 | 2 -> LE.Iterate (loop k, 0, k)
+    | 3 -> LE.Exit (loop k, 0, k)
+    | 4 -> LE.Block (0, k)
+    | 5 -> LE.Call_push (1, k)
+    | 6 -> LE.Ret_pop (0, k)
+    | _ -> LE.Exit (loop k, -1, -1)
+  in
+  (* the vector from scratch: one counter per live dimension *)
+  let reference evs =
+    List.fold_left
+      (fun ivs ev ->
+        match (ev, ivs) with
+        | LE.Enter _, _ -> ivs @ [ 0 ]
+        | LE.Iterate _, _ :: _ ->
+            List.rev (match List.rev ivs with v :: r -> (v + 1) :: r | [] -> [])
+        | LE.Exit _, _ :: _ -> List.rev (List.tl (List.rev ivs))
+        | _ -> ivs)
+      [] evs
+    |> Array.of_list
+  in
+  QCheck.Test.make ~count:300 ~name:"coords are shared and never mutated"
+    QCheck.(list_of_size Gen.(0 -- 60) (pair (int_bound 7) (int_bound 3)))
+    (fun steps ->
+      let evs = List.map event steps in
+      let iiv = Iiv.create () in
+      let handed = ref [] in
+      List.iteri
+        (fun k ev ->
+          Iiv.update iiv ev;
+          let c = Iiv.coords iiv in
+          if c <> reference (List.filteri (fun j _ -> j <= k) evs) then
+            QCheck.Test.fail_reportf "coords differ from scratch after %d events"
+              (k + 1);
+          handed := (c, Array.copy c) :: !handed)
+        evs;
+      List.for_all (fun (c, snapshot) -> c = snapshot) !handed)
+
 let () =
   Alcotest.run "iiv"
     [ ( "algorithm 3",
@@ -218,7 +274,8 @@ let () =
             test_fig3_ex2_recursion_depth_one;
           Alcotest.test_case "rendering" `Quick test_rendering;
           Alcotest.test_case "Kelly mapping, fused vs fissioned (Fig. 4)"
-            `Quick test_fig4_kelly_fused_vs_fissioned ] );
+            `Quick test_fig4_kelly_fused_vs_fissioned;
+          QCheck_alcotest.to_alcotest prop_shared_coords ] );
       ( "schedule tree",
         [ Alcotest.test_case "weights" `Quick test_schedule_tree_weights;
           Alcotest.test_case "Kelly static indices" `Quick
